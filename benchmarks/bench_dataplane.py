@@ -1,15 +1,13 @@
-"""Benchmarks for the zero-copy offload data plane (PR 5).
+"""Benchmarks for the zero-copy offload data plane.
 
-A/B of the pooled/streaming copy path against the legacy copy map
-(``tobytes()`` + frame concat + whole-file slurps + per-store fresh
-arrays) on every backend, plus the arena's lease/release hot path.  The
-CI regression guard (``scripts/check_bench_regression.py``) watches the
-``dataplane``/``buffers``-named benches; the pooled-vs-legacy speedup
-itself is asserted deterministically in ``test_dataplane_store_speedup_ab``
-so the benchmark cannot silently stop demonstrating the win.
+The store and load paths of every store (one ``pwritev``/``preadv`` per
+frame, no ``tobytes()`` temporaries, no whole-file slurps) and of the
+arena-backed CPU tier, plus the arena's lease/release hot path.  The CI
+regression guard (``scripts/check_bench_regression.py``) watches the
+``dataplane``/``buffers``-named benches against ``BENCH_PR5.json``; each
+bench also asserts its deterministic copy count or arena reuse, so the
+data plane cannot silently start copying again.
 """
-
-import time
 
 import numpy as np
 
@@ -42,49 +40,40 @@ def _load_round(store):
 def test_dataplane_filestore_store_pooled(benchmark, tmp_path):
     store = TensorFileStore(tmp_path)
     benchmark(_store_round, store)
-    emit(
-        "Data plane — filestore store path (pooled/streaming)",
-        [f"copies: {store.copy_stats.snapshot().copies}",
-         f"allocs avoided: {store.copy_stats.snapshot().allocs_avoided}"],
-    )
-    assert store.copy_stats.snapshot().allocs_avoided > 0
-
-
-def test_dataplane_filestore_store_legacy(benchmark, tmp_path):
-    store = TensorFileStore(tmp_path, legacy_copies=True)
-    benchmark(_store_round, store)
     snap = store.copy_stats.snapshot()
-    emit("Data plane — filestore store path (legacy copies)",
-         [f"copies: {snap.copies}"])
-    assert snap.allocs_avoided == 0
+    emit(
+        "Data plane — filestore store path",
+        [f"copies: {snap.copies}",
+         f"syscalls per write: {store.write_syscalls / store.write_count:g}"],
+    )
+    # Contiguous input: the frame reaches the kernel with zero memcpys.
+    assert snap.copies == 0
 
 
 def test_dataplane_filestore_load_pooled(benchmark, tmp_path):
     store = TensorFileStore(tmp_path)
     _store_round(store)
     benchmark(_load_round, store)
-    assert store.copy_stats.snapshot().allocs_avoided > 0
+    # One disk-to-array transfer per load: the returned array itself.
+    assert store.copy_stats.snapshot().copies == store.read_count
 
 
 def test_dataplane_chunkstore_store_pooled(benchmark, tmp_path):
     store = ChunkedTensorStore(tmp_path, chunk_bytes=4 * MiB)
     benchmark(_store_round, store)
-    assert store.copy_stats.snapshot().allocs_avoided > 0
-
-
-def test_dataplane_chunkstore_store_legacy(benchmark, tmp_path):
-    store = ChunkedTensorStore(tmp_path, chunk_bytes=4 * MiB, legacy_copies=True)
-    benchmark(_store_round, store)
-    assert store.copy_stats.snapshot().allocs_avoided == 0
+    # One staging append per tensor; the flush adds no copy.
+    before = store.copy_stats.snapshot().copies
+    _store_round(store)
+    assert store.copy_stats.snapshot().copies - before == N_TENSORS
 
 
 def test_dataplane_cpu_store_pooled(benchmark):
     """CPU-tier stores copy into leased arena buffers.
 
-    The win here is structural, not a microbench ratio: both paths are
-    one memcpy, and in a tight same-size loop the OS allocator caches
-    the freed block just like the arena does — so the gated invariant is
-    the alloc avoidance (no per-store allocation / first-touch page
+    The win here is structural, not a microbench ratio: a store is one
+    memcpy either way, and in a tight same-size loop the OS allocator
+    caches the freed block just like the arena does — so the gated
+    invariant is arena reuse (no per-store allocation / first-touch page
     faults, memory bounded by the retention cap), which is what shows up
     under real allocator pressure."""
     offloader = CPUOffloader(PinnedMemoryPool())
@@ -98,10 +87,10 @@ def test_dataplane_cpu_store_pooled(benchmark):
     emit(
         "Data plane — CPU-pool store path (arena-backed)",
         [f"arena hit rate: {stats.hit_rate:.0%}",
-         f"allocs avoided: {stats.allocs_avoided}"],
+         f"arena hits: {stats.hits}"],
     )
     # Steady state: every overwrite reuses the evicted buffer's class.
-    assert stats.allocs_avoided > 0
+    assert stats.hits > 0
     offloader.shutdown()
 
 
@@ -119,53 +108,3 @@ def test_dataplane_buffers_arena_lease_hot_path(benchmark):
     stats = arena.stats()
     assert stats.leaked == 0
     assert stats.hit_rate > 0.9
-
-
-def test_dataplane_store_speedup_ab(benchmark, tmp_path):
-    """The headline A/B: the streaming writer's store path vs the legacy
-    copy map on the same machine and backend (>= 2x measured where this
-    PR was recorded; 2.0-3.7x across local runs).
-
-    Measured inline (not via the benchmark fixture) so both sides run
-    back-to-back under identical cache/page conditions; the fixture
-    times the pooled side only, keeping the guard on the fast path.
-    The wall-clock ratio is *reported*, not asserted — this bench is
-    bound by real disk writes, and the repo's guard policy (see
-    ``scripts/check_bench_regression.py``) excludes such latencies from
-    hard gates; the deterministic invariant (the pooled path performs
-    fewer copies and skips real allocations) is what fails the suite.
-    """
-
-    big = np.random.default_rng(11).random(4 * MiB // 8)  # 4 MiB of float64
-
-    def rate(store, rounds=7):
-        # min-of-rounds: the least noise-sensitive estimator for a
-        # wall-clock ratio on shared CI runners (same choice as the
-        # regression guard's default --stat min).
-        best = float("inf")
-        for _ in range(rounds):
-            start = time.perf_counter()
-            for name in NAMES[:8]:
-                store.write(name, big)
-            best = min(best, time.perf_counter() - start)
-        return 8 * big.nbytes / best
-
-    legacy_store = TensorFileStore(tmp_path / "legacy", legacy_copies=True)
-    pooled_store = TensorFileStore(tmp_path / "pooled")
-    legacy = rate(legacy_store)
-    pooled = rate(pooled_store)
-    ratio = pooled / legacy
-    emit(
-        "Data plane — store-path A/B (filestore)",
-        [f"legacy: {legacy / 1e6:.0f} MB/s",
-         f"pooled: {pooled / 1e6:.0f} MB/s",
-         f"speedup: {ratio:.2f}x (reported, not gated; local target >= 2x)"],
-    )
-    # The deterministic invariant IS gated: same traffic, strictly fewer
-    # Python-level copies, and real allocations skipped.
-    legacy_snap = legacy_store.copy_stats.snapshot()
-    pooled_snap = pooled_store.copy_stats.snapshot()
-    assert legacy_store.bytes_written == pooled_store.bytes_written
-    assert pooled_snap.copies < legacy_snap.copies
-    assert pooled_snap.allocs_avoided > 0 and legacy_snap.allocs_avoided == 0
-    benchmark(_store_round, TensorFileStore(tmp_path / "bench"))

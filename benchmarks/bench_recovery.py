@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.core import OffloadPolicy, PolicyConfig, TensorID
 from repro.core.engine import EngineConfig, build_engine
-from repro.core.offloader import make_offloader
 from repro.io.breaker import BreakerState, CircuitBreaker
 from repro.io.faults import FaultPlan, inject_faults
 from repro.io.scheduler import IORequest, IOScheduler, Priority
@@ -82,12 +81,14 @@ def test_failover_store_latency_dead_ssd(benchmark, tmp_path):
     """Store latency on the degraded path: the SSD is dead, so every
     placement reroutes into the pinned CPU tier — the latency a training
     step actually pays while the breaker is OPEN."""
-    offloader = make_offloader(
-        "tiered",
-        store_dir=tmp_path / "store",
-        cpu_pool_bytes=1 << 20,
-        policy=_ssd_placing_policy(),
-    )
+    offloader = build_engine(
+        EngineConfig(
+            target="tiered",
+            store_dir=tmp_path / "store",
+            cpu_pool_bytes=1 << 20,
+            policy=_ssd_placing_policy(),
+        )
+    ).offloader
     try:
         injector = inject_faults(offloader, FaultPlan(seed=0))
         injector.kill()

@@ -28,7 +28,6 @@ from repro.core import (
     TensorIDRegistry,
     Tier,
     TieredOffloader,
-    make_offloader,
 )
 from repro.device import GPU, MemoryTag
 from repro.models import BERT, GPT, ModelConfig, T5
@@ -43,7 +42,6 @@ __all__ = [
     "CPUOffloader",
     "TieredOffloader",
     "Tier",
-    "make_offloader",
     "Engine",
     "EngineConfig",
     "EngineConfigError",

@@ -18,8 +18,8 @@ Usage::
     python -m repro autotune             # static vs adaptive budget under drift
     python -m repro faults               # fault-scenario runner (--functional
                                          #   for the live chaos recovery demo)
-    python -m repro dataplane            # pooled vs legacy copy-path A/B
-                                         #   (MB/s, copies/step, bit-exactness)
+    python -m repro dataplane            # pooled data plane: MB/s, copies,
+                                         #   arena hits, bit-exactness
     python -m repro tenants              # multi-tenant fair-share vs FIFO A/B
                                          #   (Jain's index, weights, quotas)
     python -m repro kv                   # KV-cache paging vs HBM-only serving
@@ -196,7 +196,6 @@ def cmd_quickstart(args: argparse.Namespace) -> None:
         cpu_pool_bytes=cpu_pool_bytes,
         chunk_bytes=args.chunk_bytes,
         fifo_io=args.fifo_io,
-        legacy_dataplane=args.legacy_dataplane,
         io_backend=args.io_backend,
         io_direct=args.io_direct,
     )
@@ -647,12 +646,14 @@ def cmd_faults(args: argparse.Namespace) -> None:
 
 
 def cmd_dataplane(args: argparse.Namespace) -> None:
-    """Zero-copy data plane A/B: pooled/streaming vs the legacy copy map.
+    """The pooled zero-copy data plane, measured and checked.
 
-    Two surfaces: a store/load microbench of every backend (MB/s both
-    ways), and a functional mini-training A/B proving the pooled path
-    changes *nothing* about the numerics (losses bit-exact) while
-    avoiding real allocations (``allocs_avoided`` / copies per step).
+    Three surfaces: a store/load microbench of every store (MB/s both
+    ways, copies, arena hits); a functional mini-training run proving
+    the data plane changes *nothing* about the numerics (losses
+    bit-exact against keep-in-memory); and, with ``--io-backend``, a
+    thread-vs-backend A/B asserting identical losses and offloaded
+    bytes and equal per-request syscall counts.
     """
     import shutil
     import tempfile
@@ -683,12 +684,12 @@ def cmd_dataplane(args: argparse.Namespace) -> None:
         for i in range(iters):
             store.read(names[i % len(names)], data.shape, data.dtype)
         read_s = _time.perf_counter() - start
-        return write_s, read_s, store.copy_stats.snapshot()
+        return write_s, read_s, store.copy_stats.snapshot().copies, 0
 
-    def bench_cpu(legacy):
-        off = CPUOffloader(PinnedMemoryPool(), legacy_copies=legacy)
-        # Warm-up pass: both paths pay first-touch faults once; steady
-        # state is what differs (the arena reuses, legacy re-allocates).
+    def bench_cpu():
+        off = CPUOffloader(PinnedMemoryPool())
+        # Warm-up pass: first-touch faults are paid once; steady state
+        # reuses the arena's buffers.
         for tid in tids:
             off.store(tid, data)
         start = _time.perf_counter()
@@ -699,72 +700,53 @@ def cmd_dataplane(args: argparse.Namespace) -> None:
         for i in range(iters):
             off.load(tids[i % len(tids)], data.shape, data.dtype)
         read_s = _time.perf_counter() - start
-        # dataplane_stats folds in the arena's hits — copy_stats alone
-        # would report 'avoided 0' and hide the CPU tier's pooling win.
         snap = off.dataplane_stats()
         off.shutdown()
-        return write_s, read_s, snap
+        return write_s, read_s, snap.copies, snap.arena_hits
 
     total_mb = iters * size / 1e6
     print(f"data-plane microbench: {iters} x {args.size_mb} MiB tensors "
           f"({total_mb:.0f} MB per direction)\n")
-    print(f"{'backend':>12} {'path':>8} {'store MB/s':>11} {'load MB/s':>10} "
-          f"{'copies':>7} {'avoided':>8}")
-    speedups = {}
+    print(f"{'backend':>12} {'store MB/s':>11} {'load MB/s':>10} "
+          f"{'copies':>7} {'arena hits':>11}")
     for backend in ("filestore", "chunkstore", "cpu pool"):
-        rates = {}
-        for legacy in (True, False):
-            if backend == "cpu pool":
-                write_s, read_s, snap = bench_cpu(legacy)
-            else:
-                tmpdir = tempfile.mkdtemp(prefix="dp-bench-")
-                try:
-                    if backend == "filestore":
-                        store = TensorFileStore(tmpdir, legacy_copies=legacy)
-                    else:
-                        store = ChunkedTensorStore(
-                            tmpdir, chunk_bytes=4 << 20, legacy_copies=legacy
-                        )
-                    write_s, read_s, snap = bench_store(store)
-                    store.clear()
-                finally:
-                    shutil.rmtree(tmpdir, ignore_errors=True)
-            label = "legacy" if legacy else "pooled"
-            rates[label] = total_mb / write_s
-            print(f"{backend:>12} {label:>8} {total_mb / write_s:>11.0f} "
-                  f"{total_mb / read_s:>10.0f} {snap.copies:>7} "
-                  f"{snap.allocs_avoided:>8}")
-        speedups[backend] = rates["pooled"] / rates["legacy"]
-    for backend, ratio in speedups.items():
-        print(f"store-path speedup ({backend}): {ratio:.2f}x")
+        if backend == "cpu pool":
+            write_s, read_s, copies, hits = bench_cpu()
+        else:
+            tmpdir = tempfile.mkdtemp(prefix="dp-bench-")
+            try:
+                if backend == "filestore":
+                    store = TensorFileStore(tmpdir)
+                else:
+                    store = ChunkedTensorStore(tmpdir, chunk_bytes=4 << 20)
+                write_s, read_s, copies, hits = bench_store(store)
+                store.clear()
+            finally:
+                shutil.rmtree(tmpdir, ignore_errors=True)
+        print(f"{backend:>12} {total_mb / write_s:>11.0f} "
+              f"{total_mb / read_s:>10.0f} {copies:>7} {hits:>11}")
 
     from examples.quickstart import STEPS, run
 
     if not args.no_functional:
-        print("\nfunctional A/B (tiered target, 5 steps each):")
-        results = {}
-        for legacy in (True, False):
-            results["legacy" if legacy else "pooled"] = run(
-                offload=True,
-                target="tiered",
-                cpu_pool_bytes=1 << 20,
-                chunk_bytes=64 << 10,
-                legacy_dataplane=legacy,
-            )
-        for label, result in results.items():
-            dp = result["dataplane"]
-            print(f"  {label:>6}: {dp.copies / STEPS:.1f} copies/step "
-                  f"({dp.bytes_copied / 1e6:.2f} MB copied), "
-                  f"{dp.allocs_avoided} allocs avoided, "
-                  f"arena hit rate {dp.arena_hit_rate:.0%}")
-        assert results["pooled"]["losses"] == results["legacy"]["losses"], (
-            "pooled data plane must be bit-exact vs the legacy copy path"
+        print(f"\nfunctional run (tiered target, {STEPS} steps) vs keep:")
+        keep = run(offload=False)
+        pooled = run(
+            offload=True,
+            target="tiered",
+            cpu_pool_bytes=1 << 20,
+            chunk_bytes=64 << 10,
         )
-        pooled = results["pooled"]["dataplane"]
-        legacy_dp = results["legacy"]["dataplane"]
-        assert pooled.allocs_avoided > 0, "pooled run must avoid allocations"
-        assert pooled.copies < legacy_dp.copies, "pooled run must copy less"
-        print("losses bit-exact across pooled vs legacy data planes. ✓")
+        dp = pooled["dataplane"]
+        print(f"  pooled: {dp.copies / STEPS:.1f} copies/step "
+              f"({dp.bytes_copied / 1e6:.2f} MB copied), "
+              f"{dp.arena_hits} arena hits of {dp.arena_leases} leases "
+              f"(hit rate {dp.arena_hit_rate:.0%})")
+        assert pooled["losses"] == keep["losses"], (
+            "the offloaded run must be bit-exact against keep"
+        )
+        assert dp.arena_hits > 0, "the pooled run must reuse arena buffers"
+        print("losses bit-exact against keep. ✓")
 
     if args.io_backend in (None, "thread"):
         return
@@ -779,38 +761,42 @@ def cmd_dataplane(args: argparse.Namespace) -> None:
             io_backend=backend,
             io_direct=args.io_direct and backend != "thread",
         )
-    totals = {}
+    per_request = {}
     for backend, result in ab.items():
         lanes = result["engine_stats"].io_lanes
         syscalls = sum(ls.syscalls for ls in lanes.values())
-        batched = sum(ls.batched_requests for ls in lanes.values())
         bounced = sum(ls.bounce_copies for ls in lanes.values())
         skipped = sum(ls.bounce_copies_skipped for ls in lanes.values())
-        totals[backend] = (syscalls, skipped, result["offloaded"])
+        store = result["store"]
+        per_request[backend] = (
+            store.write_syscalls / store.write_count,
+            store.read_syscalls / store.read_count,
+        )
         line = (f"  {backend:>8}: {syscalls} syscalls "
                 f"({syscalls / STEPS:.0f}/step) for "
-                f"{result['offloaded'] / 1e6:.2f} MB offloaded, "
-                f"{batched} requests batched")
+                f"{result['offloaded'] / 1e6:.2f} MB offloaded; per request "
+                f"{per_request[backend][0]:g} to write, "
+                f"{per_request[backend][1]:g} to read")
         if bounced or skipped:
-            line += f", bounce copies {bounced} (skipped {skipped})"
+            line += f"; bounce copies {bounced} (skipped {skipped})"
         print(line)
     assert ab["thread"]["losses"] == ab[args.io_backend]["losses"], (
-        "batched backends must be bit-exact vs the thread backend"
+        f"{args.io_backend} must be bit-exact vs the thread backend"
     )
-    assert totals["thread"][2] == totals[args.io_backend][2], (
+    assert ab["thread"]["offloaded"] == ab[args.io_backend]["offloaded"], (
         "A/B runs must offload identical bytes"
     )
-    assert totals[args.io_backend][0] < totals["thread"][0], (
-        f"{args.io_backend} must issue strictly fewer syscalls than "
-        f"thread at identical bytes"
-    )
+    # Every backend moves bytes the same way: a fresh write is open +
+    # pwritev, a read on the cached descriptor is one preadv.
+    assert per_request["thread"] == (2, 1), per_request
+    if not args.io_direct:
+        assert per_request[args.io_backend] == per_request["thread"], per_request
     if args.io_backend == "gds-sim":
-        assert totals["gds-sim"][1] > 0, (
+        assert skipped > 0, (
             "gds-sim must skip host bounce copies for registered tensors"
         )
-    print(f"losses bit-exact, {args.io_backend} used "
-          f"{totals['thread'][0] - totals[args.io_backend][0]} fewer "
-          f"syscalls at identical bytes. ✓")
+    print(f"losses and bytes identical; {args.io_backend} and thread share "
+          f"the store path. ✓")
 
 
 def cmd_tenants(args: argparse.Namespace) -> None:
@@ -1023,19 +1009,13 @@ def build_parser() -> argparse.ArgumentParser:
                 help="use the paper's FIFO dequeue instead of the "
                      "priority-aware I/O scheduler",
             )
-            p.add_argument(
-                "--legacy-dataplane", action="store_true",
-                help="run the pre-PR5 copy map (fresh allocation per CPU "
-                     "store, tobytes/slurp file I/O) instead of the pooled "
-                     "zero-copy data plane",
-            )
         if name in ("quickstart", "dataplane"):
             p.add_argument(
                 "--io-backend", choices=IO_BACKENDS,
                 default="thread" if name == "quickstart" else None,
-                help="lane execution backend: blocking thread-per-job, "
-                     "batched SQ/CQ submission (uring), or the simulated "
-                     "GPUDirect-Storage lane (gds-sim)"
+                help="lane execution backend: requests completed on the "
+                     "lane worker (thread), on a completion reaper (uring), "
+                     "or the simulated GPUDirect-Storage lane (gds-sim)"
                      + ("" if name == "quickstart"
                         else "; selecting one runs a backend A/B vs thread"),
             )
@@ -1052,7 +1032,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
             p.add_argument(
                 "--iters", type=int, default=24,
-                help="stores/loads per backend and path",
+                help="stores/loads per backend",
             )
             p.add_argument(
                 "--no-functional", action="store_true",

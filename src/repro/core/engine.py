@@ -1,42 +1,36 @@
 """The engine facade: one typed construction path for the offload stack.
 
-Growing a second front-end (the KV-cache paging server in
-:mod:`repro.serve`) next to the original :class:`~repro.train.trainer.Trainer`
-exposed two API problems:
-
-1. **Construction sprawl** — the only way to build the data plane was the
-   ``make_offloader(target, store_dir, cpu_pool_bytes, chunk_bytes, ...)``
-   kwarg pile, after which every caller still had to build an
-   :class:`~repro.io.scheduler.IOScheduler` (or let
-   :class:`~repro.core.tensor_cache.TensorCache` build one implicitly) and
-   wire the two together by hand.
-2. **Stats sprawl** — telemetry was scattered over four ad-hoc accessors
-   (``Offloader.dataplane_stats()``, ``IOScheduler.consume_completion_stats()``,
-   ``TensorCache.consume_step_stats()`` and the tenancy books), each with
-   its own consuming/non-consuming semantics.
-
-This module fixes both:
+Two front-ends share the data plane — the original
+:class:`~repro.train.trainer.Trainer` and the KV-cache paging server in
+:mod:`repro.serve` — so the stack has exactly one way to be built and
+one way to be observed:
 
 - :class:`EngineConfig` is the single typed configuration record;
   invalid combinations raise :class:`EngineConfigError` (a
-  :class:`ValueError` subclass, so legacy ``except ValueError`` callers
-  keep working) with the same messages ``make_offloader`` always used.
+  :class:`ValueError` subclass, so ``except ValueError`` callers keep
+  working).
 - :func:`build_engine` returns an :class:`Engine` bundling the offloader,
   a lazily-started scheduler, the placement policy and the optional
   tenant registry.  ``Trainer`` runs construct a cache via
   :meth:`Engine.cache`; the KV front-end drives the offloader/scheduler
-  pair directly; ``make_offloader()`` survives as a thin shim over it.
+  pair directly; code that only needs the synchronous offloader reads
+  ``build_engine(EngineConfig(...)).offloader``.
 - :meth:`Engine.stats` returns one :class:`EngineStats` snapshot
   aggregating every book non-destructively — reading it never steals the
   adaptive controller's bandwidth windows or resets a counter.
+- :meth:`Engine.shutdown` stops the I/O plane; an engine collected
+  without it is stopped by a ``weakref.finalize`` backstop that warns
+  with a :class:`ResourceWarning`.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+import warnings
+import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.core.offloader import (
     CPUOffloader,
@@ -68,9 +62,8 @@ IO_BACKENDS = ("thread", "uring", "gds-sim")
 class EngineConfigError(ValueError):
     """An :class:`EngineConfig` describes an impossible engine.
 
-    Subclasses :class:`ValueError` so code written against the historic
-    ``make_offloader`` error contract (``except ValueError`` /
-    ``pytest.raises(ValueError)``) is unaffected by the typed upgrade.
+    Subclasses :class:`ValueError` so ``except ValueError`` /
+    ``pytest.raises(ValueError)`` callers keep working.
     """
 
 
@@ -78,7 +71,7 @@ class EngineConfigError(ValueError):
 class EngineConfig:
     """Typed configuration for one offload engine (data + I/O plane).
 
-    Data-plane knobs (the former ``make_offloader`` axis):
+    Data-plane knobs:
 
     Attributes:
         target: ``"ssd"``, ``"cpu"`` or ``"tiered"`` (see
@@ -94,7 +87,6 @@ class EngineConfig:
             fresh when ``None`` and shared between the offloader, the
             cache and any paging front-end so per-tenant placement hooks
             take effect everywhere.
-        legacy_dataplane: run the pre-PR5 copy map (A/B baseline).
         promote_on_load: tiered only — copy SSD residents back into the
             pinned pool on load when there is room.
         durable: journal the chunk store's index to a manifest under
@@ -121,12 +113,12 @@ class EngineConfig:
         prefetch_window: look-ahead depth handed to caches built via
             :meth:`Engine.cache`.
         io_backend: how lane workers reach the kernel (:data:`IO_BACKENDS`).
-            ``"thread"`` (default) is the blocking per-request model;
-            ``"uring"`` batches each dequeued batch into vectored
-            submissions over pre-opened descriptors with a dedicated
-            completion reaper; ``"gds-sim"`` adds simulated
-            GPUDirect-Storage routing against the offloader's
-            :class:`~repro.io.gds.GDSRegistry`.
+            Every backend moves bytes the same way (one vectored
+            syscall per frame over the lane's pre-opened descriptors);
+            ``"thread"`` (default) completes each request on the lane
+            worker, ``"uring"`` on a dedicated completion reaper, and
+            ``"gds-sim"`` adds simulated GPUDirect-Storage routing
+            against the offloader's :class:`~repro.io.gds.GDSRegistry`.
         io_direct: open write descriptors ``O_DIRECT`` (uring/gds-sim
             only) — aligned staging via arena leases, per-file fallback
             where the filesystem refuses.
@@ -159,7 +151,6 @@ class EngineConfig:
     throttle_bytes_per_s: Optional[float] = None
     array: Any = None
     policy: Optional[OffloadPolicy] = None
-    legacy_dataplane: bool = False
     promote_on_load: bool = True
     durable: bool = False
     store_roots: Any = None
@@ -182,9 +173,9 @@ class EngineConfig:
     def validate(self) -> None:
         """Raise :class:`EngineConfigError` on an inconsistent config.
 
-        Keeps the exact messages ``make_offloader`` raised for the
-        combinations it rejected (an experiment flag that does nothing
-        is worse than an error), plus checks for the scheduler axis.
+        An experiment flag that does nothing is worse than an error, so
+        every knob that cannot apply to the configured target is
+        rejected.
         """
         if self.target not in OFFLOAD_TARGETS:
             raise EngineConfigError(
@@ -351,8 +342,10 @@ class Engine:
 
     Use :func:`build_engine` rather than constructing directly.  The
     scheduler is built lazily on first access, so callers that only
-    need the synchronous offloader (the ``make_offloader()`` shim, unit
-    fixtures) never spawn worker threads.
+    need the synchronous offloader never spawn worker threads.  Once it
+    exists, a ``weakref.finalize`` backstop stops it (workers joined,
+    backend descriptors closed) if the engine is collected without
+    :meth:`shutdown`, and warns with a :class:`ResourceWarning`.
     """
 
     def __init__(self, config: EngineConfig) -> None:
@@ -363,7 +356,7 @@ class Engine:
         self.offloader = self._build_offloader()
         self._scheduler: Optional[IOScheduler] = None
         self._scheduler_lock = threading.Lock()
-        self._caches: List["TensorCache"] = []
+        self._finalizer: Optional[weakref.finalize] = None
         self._started_at = time.monotonic()
         self._closed = False
 
@@ -378,7 +371,6 @@ class Engine:
                 throttle_bytes_per_s=cfg.throttle_bytes_per_s,
                 array=cfg.array,
                 chunk_bytes=cfg.chunk_bytes,
-                legacy_copies=cfg.legacy_dataplane,
                 durable=cfg.durable,
                 store_roots=cfg.store_roots,
             )
@@ -386,7 +378,6 @@ class Engine:
             return CPUOffloader(
                 PinnedMemoryPool(cfg.cpu_pool_bytes),
                 throttle_bytes_per_s=cfg.throttle_bytes_per_s,
-                legacy_copies=cfg.legacy_dataplane,
             )
         return TieredOffloader(
             cfg.store_dir,
@@ -396,7 +387,6 @@ class Engine:
             promote_on_load=cfg.promote_on_load,
             throttle_bytes_per_s=cfg.throttle_bytes_per_s,
             array=cfg.array,
-            legacy_dataplane=cfg.legacy_dataplane,
             durable=cfg.durable,
             store_roots=cfg.store_roots,
             probe_backoff_s=cfg.probe_backoff_s,
@@ -441,6 +431,12 @@ class Engine:
                 set_scheduler = getattr(self.offloader, "set_scheduler", None)
                 if set_scheduler is not None:
                     set_scheduler(self._scheduler)
+                self._finalizer = weakref.finalize(
+                    self, _stop_unclosed_scheduler, self._scheduler
+                )
+                # Interpreter exit leaves the daemon lanes to die with the
+                # process; joining them there could hang on a wedged lane.
+                self._finalizer.atexit = False
             return self._scheduler
 
     def _gds_registry(self):
@@ -462,7 +458,9 @@ class Engine:
 
         The cache shares the engine's offloader, policy and scheduler,
         so its records, the KV front-end's blocks and any direct
-        submissions all flow through one set of books.
+        submissions all flow through one set of books.  It also holds
+        the engine, so the engine's finalizer cannot stop a scheduler a
+        live cache still uses.
         """
         from repro.core.tensor_cache import TensorCache  # circular-import guard
 
@@ -473,7 +471,7 @@ class Engine:
         }
         kwargs.update(overrides)
         cache = TensorCache(self.offloader, **kwargs)
-        self._caches.append(cache)
+        cache.engine = self
         return cache
 
     # ------------------------------------------------------------------- stats
@@ -573,6 +571,8 @@ class Engine:
             if self._closed and sched is None:
                 return
             self._closed = True
+            if self._finalizer is not None:
+                self._finalizer.detach()
         if sched is not None:
             sched.shutdown()
         self.offloader.shutdown()
@@ -589,6 +589,30 @@ class Engine:
 
     def __exit__(self, *exc: Any) -> None:
         self.shutdown()
+
+
+def _stop_unclosed_scheduler(sched: IOScheduler) -> None:
+    """Finalizer of an engine collected without :meth:`Engine.shutdown`.
+
+    Stops the scheduler (joins its lanes, closes the backend's FD
+    table) unless a cache already shut it down.  The last reference can
+    drop on any thread — a lane worker releasing a finished request's
+    closure, or cyclic GC — and a lane cannot join itself, so on one of
+    the scheduler's own daemon threads the shutdown moves to a helper
+    thread.
+    """
+    if sched.closed:
+        return
+    warnings.warn(
+        "an offload Engine was garbage-collected without shutdown(); "
+        "stopping its I/O plane",
+        ResourceWarning,
+        stacklevel=2,
+    )
+    if threading.current_thread().daemon:
+        threading.Thread(target=sched.shutdown, name="engine-finalizer").start()
+    else:
+        sched.shutdown()
 
 
 def build_engine(config: Optional[EngineConfig] = None, **overrides: Any) -> Engine:

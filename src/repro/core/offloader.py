@@ -20,8 +20,8 @@ the cache wraps in typed :class:`~repro.io.scheduler.IORequest`\\ s and
 runs on the :class:`~repro.io.scheduler.IOScheduler`'s per-tier lanes
 (``store_lane``/``load_lane`` pick the lane), and a ``release`` that
 reclaims the backing space once the cache drops the record.
-:func:`make_offloader` builds any of them from a config/CLI-style
-target string.
+:func:`~repro.core.engine.build_engine` builds any of them from an
+:class:`~repro.core.engine.EngineConfig`.
 """
 
 from __future__ import annotations
@@ -136,8 +136,6 @@ class SSDOffloader(Offloader):
             :class:`~repro.io.chunkstore.ChunkedTensorStore` of this chunk
             size — small activations coalesce into one sequential write
             per chunk instead of one file per tensor.
-        legacy_copies: restore the store's pre-streaming copy map (the
-            ``bench_dataplane.py`` A/B baseline).
         durable: journal the chunk store's index to a manifest replayed
             on reopen (service-mode crash recovery; requires
             ``chunk_bytes``).
@@ -152,7 +150,6 @@ class SSDOffloader(Offloader):
         array=None,
         gds: Optional[GDSRegistry] = None,
         chunk_bytes: Optional[int] = None,
-        legacy_copies: bool = False,
         durable: bool = False,
         store_roots=None,
     ) -> None:
@@ -163,7 +160,6 @@ class SSDOffloader(Offloader):
                 chunk_bytes=chunk_bytes,
                 throttle_bytes_per_s=throttle_bytes_per_s,
                 array=array,
-                legacy_copies=legacy_copies,
                 durable=durable,
                 roots=store_roots,
             )
@@ -173,10 +169,7 @@ class SSDOffloader(Offloader):
             if store_roots:
                 raise ValueError("store_roots (write-leveling) requires chunk_bytes")
             self.file_store = TensorFileStore(
-                store_dir,
-                throttle_bytes_per_s=throttle_bytes_per_s,
-                array=array,
-                legacy_copies=legacy_copies,
+                store_dir, throttle_bytes_per_s=throttle_bytes_per_s, array=array
             )
         self.gds = gds if gds is not None else GDSRegistry()
 
@@ -303,8 +296,7 @@ class CPUOffloader(Offloader):
     ``np.array(copy=True)`` per tensor; the lease lives exactly as long
     as the resident buffer (released on evict/overwrite/shutdown, or
     transferred wholesale to a demotion via :meth:`take` /
-    :meth:`adopt`).  ``use_arena=False`` (or ``legacy_copies=True``)
-    restores the per-store allocation as the A/B baseline.
+    :meth:`adopt`).
 
     Args:
         pool: pinned-pool capacity accounting.
@@ -315,10 +307,6 @@ class CPUOffloader(Offloader):
         arena: the buffer pool to lease from; by default a private
             :class:`~repro.io.buffers.BufferArena` whose free-list
             retention is capped by this pool's (live) capacity.
-        use_arena: disable pooling entirely (fresh allocation per store).
-        legacy_copies: alias for ``use_arena=False`` matching the file
-            stores' flag, so ``make_offloader(legacy_dataplane=True)``
-            reads uniformly.
     """
 
     default_tier = Tier.CPU
@@ -328,18 +316,12 @@ class CPUOffloader(Offloader):
         pool: Optional[PinnedMemoryPool] = None,
         throttle_bytes_per_s: Optional[float] = None,
         arena: Optional[BufferArena] = None,
-        use_arena: bool = True,
-        legacy_copies: bool = False,
     ) -> None:
         if throttle_bytes_per_s is not None and throttle_bytes_per_s <= 0:
             raise ValueError(f"throttle must be positive: {throttle_bytes_per_s}")
         self.pool = pool if pool is not None else PinnedMemoryPool()
         self.throttle_bytes_per_s = throttle_bytes_per_s
-        if legacy_copies:
-            use_arena = False
-        self.arena: Optional[BufferArena] = None
-        if use_arena:
-            self.arena = arena if arena is not None else BufferArena(pool=self.pool)
+        self.arena = arena if arena is not None else BufferArena(pool=self.pool)
         self.copy_stats = CopyCounter()
         self._lock = threading.Lock()
         self._buffers: Dict[TensorID, np.ndarray] = {}
@@ -365,12 +347,9 @@ class CPUOffloader(Offloader):
         self.pool.alloc(src.nbytes, tenant=owner)
         lease: Optional[BufferLease] = None
         try:
-            if self.arena is not None:
-                lease = self.arena.lease(src.nbytes, tenant=owner)
-                copy = lease.view(src.shape, src.dtype)
-                np.copyto(copy, src)
-            else:
-                copy = np.array(src, copy=True)
+            lease = self.arena.lease(src.nbytes, tenant=owner)
+            copy = lease.view(src.shape, src.dtype)
+            np.copyto(copy, src)
             self.copy_stats.count_copy(src.nbytes)
         except BaseException:
             self.pool.free(src.nbytes, tenant=owner)
@@ -421,28 +400,18 @@ class CPUOffloader(Offloader):
 
     def load(self, tid: TensorID, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
         start = time.monotonic()
-        if self.arena is None:
-            # Legacy private-array buffers are immune to recycling (the
-            # reader's reference keeps them alive and unshared), so the
-            # copy can run unlocked as it always did.
-            with self._lock:
-                buf = self._buffers.get(tid)
+        with self._lock:
+            buf = self._buffers.get(tid)
             if buf is None:
                 raise KeyError(f"tensor {tid} not in host pool")
+            # The single ownership copy at the GPU-reinstate boundary —
+            # a plain copy when the dtype already matches, one
+            # conversion copy otherwise (never astype *and* copy).
+            # Copied under the lock: an arena-backed buffer whose lease
+            # a concurrent evict/overwrite releases may be recycled by
+            # the next store, so reading it unlocked could observe torn
+            # bytes.
             data = owned_copy(buf.reshape(shape), dtype, self.copy_stats)
-        else:
-            with self._lock:
-                buf = self._buffers.get(tid)
-                if buf is None:
-                    raise KeyError(f"tensor {tid} not in host pool")
-                # The single ownership copy at the GPU-reinstate boundary
-                # — a plain copy when the dtype already matches, one
-                # conversion copy otherwise (never astype *and* copy).
-                # Copied under the lock: an arena-backed buffer whose
-                # lease a concurrent evict/overwrite releases may be
-                # recycled by the next store, so reading it unlocked
-                # could observe torn bytes.
-                data = owned_copy(buf.reshape(shape), dtype, self.copy_stats)
         self._throttle(data.nbytes, start)
         return data
 
@@ -504,57 +473,5 @@ class CPUOffloader(Offloader):
             lease.release()
 
 
-#: Target names accepted by :func:`make_offloader` (the CLI/config axis).
+#: Target names an :class:`~repro.core.engine.EngineConfig` accepts.
 OFFLOAD_TARGETS = ("ssd", "cpu", "tiered")
-
-
-def make_offloader(
-    target: str,
-    store_dir=None,
-    cpu_pool_bytes: Optional[int] = None,
-    chunk_bytes: Optional[int] = None,
-    throttle_bytes_per_s: Optional[float] = None,
-    array=None,
-    policy=None,
-    legacy_dataplane: bool = False,
-) -> Offloader:
-    """Build a transfer backend from a config/CLI target string.
-
-    Args:
-        target: ``"ssd"`` (per-tensor or chunked files), ``"cpu"``
-            (pinned host pool), or ``"tiered"`` (GPU -> CPU -> SSD
-            hierarchy, see :class:`~repro.core.tiered.TieredOffloader`).
-        store_dir: backing directory; required for ``ssd``/``tiered``.
-        cpu_pool_bytes: pinned-pool capacity (``cpu``/``tiered``);
-            ``None`` means unbounded for ``cpu`` and is rejected for
-            ``tiered`` (a tier needs a boundary to spill over).
-        chunk_bytes: enable chunk coalescing on the SSD path.
-        policy: the :class:`~repro.core.policy.OffloadPolicy` governing
-            tier placement (``tiered`` only).  Pass the same policy you
-            hand to :class:`~repro.core.tensor_cache.TensorCache` so
-            knobs like ``cpu_tier_max_tensor_bytes`` take effect.
-        legacy_dataplane: run the pre-PR5 copy map (fresh allocation per
-            CPU store, ``tobytes``/slurp file I/O) — the A/B baseline of
-            ``repro dataplane`` and ``bench_dataplane.py``.
-
-    Since the engine-facade redesign this is a thin shim over
-    :func:`repro.core.engine.build_engine` — the validation rules and
-    resulting backends are identical (regression-tested), the engine
-    handle is simply discarded.  New code should prefer
-    ``build_engine(EngineConfig(...))`` and keep the handle for the
-    shared scheduler and the aggregated ``engine.stats()`` surface.
-    """
-    from repro.core.engine import EngineConfig, build_engine  # circular-import guard
-
-    return build_engine(
-        EngineConfig(
-            target=target,
-            store_dir=store_dir,
-            cpu_pool_bytes=cpu_pool_bytes,
-            chunk_bytes=chunk_bytes,
-            throttle_bytes_per_s=throttle_bytes_per_s,
-            array=array,
-            policy=policy,
-            legacy_dataplane=legacy_dataplane,
-        )
-    ).offloader

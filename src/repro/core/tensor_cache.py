@@ -31,7 +31,6 @@ import enum
 import logging
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -155,10 +154,8 @@ class CacheStats:
     prefetch_shed: int = 0
     #: Data-plane copy map (refreshed from the offloader's telemetry by
     #: :meth:`TensorCache.dataplane_stats` / ``on_step_end``): bytes the
-    #: backend actually memcpy'd, allocations the pooled/streaming paths
-    #: avoided versus the legacy copy map, and the arena's lease hit rate.
+    #: backend actually memcpy'd and the arena's lease hit rate.
     bytes_copied: int = 0
-    allocs_avoided: int = 0
     arena_hit_rate: float = 0.0
 
 
@@ -236,6 +233,10 @@ class TensorCache:
             )
         )
         self.prefetch_window = prefetch_window
+        #: The :class:`~repro.core.engine.Engine` that built this cache,
+        #: if any (set by :meth:`~repro.core.engine.Engine.cache`); the
+        #: reference keeps the engine alive as long as the cache.
+        self.engine = None
         self.stats = CacheStats()
         self.accounting = StepAccounting()
         #: Snapshot of cumulative counters at the last consume_step_stats
@@ -289,29 +290,6 @@ class TensorCache:
     @property
     def current(self) -> MicrobatchRecords:
         return self._microbatches[self._current_mb]
-
-    @property
-    def store_pool(self) -> IOScheduler:
-        """Deprecated alias from the two-FIFO-pool era; both channels now
-        live on the scheduler (``drain``/``pending`` keep working)."""
-        warnings.warn(
-            "TensorCache.store_pool is deprecated; the two FIFO pools were "
-            "replaced by one priority scheduler — use TensorCache.scheduler",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.scheduler
-
-    @property
-    def load_pool(self) -> IOScheduler:
-        """Deprecated alias; see :attr:`store_pool`."""
-        warnings.warn(
-            "TensorCache.load_pool is deprecated; the two FIFO pools were "
-            "replaced by one priority scheduler — use TensorCache.scheduler",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.scheduler
 
     def register_weights(self, module: Module) -> int:
         """Record all parameters (and transposes) in the exclusion set."""
@@ -428,14 +406,13 @@ class TensorCache:
         """The backend's copy-map telemetry (see
         :class:`~repro.io.buffers.DataPlaneStats`), refreshed into
         :class:`CacheStats` so ``stats.bytes_copied`` /
-        ``stats.allocs_avoided`` / ``stats.arena_hit_rate`` are always
-        readable alongside the traffic counters."""
+        ``stats.arena_hit_rate`` are always readable alongside the
+        traffic counters."""
         from repro.io.buffers import DataPlaneStats
 
         getter = getattr(self.offloader, "dataplane_stats", None)
         dp = getter() if getter is not None else DataPlaneStats()
         self.stats.bytes_copied = dp.bytes_copied
-        self.stats.allocs_avoided = dp.allocs_avoided
         self.stats.arena_hit_rate = dp.arena_hit_rate
         return dp
 

@@ -3,9 +3,10 @@
 - :class:`~repro.io.scheduler.IOScheduler` — priority-aware scheduler with
   per-tier lanes, deadline promotion, store cancellation and write
   coalescing; the cache's I/O spine.
-- :class:`~repro.io.aio.AsyncIOPool` — FIFO worker pool (the paper's tensor
-  cache runs one pool for stores and one for loads, Sec. III-C2; kept as
-  the baseline the scheduler is measured against).
+- :mod:`~repro.io.aio` — the :class:`IOJob` state machine, the lane
+  backend interface (:class:`IOBackend`, default :class:`ThreadBackend`)
+  and the one way bytes reach a file: ``pwritev``/``preadv`` over a
+  descriptor from the lane's :class:`FDTable` or a transient open.
 - :class:`~repro.io.filestore.TensorFileStore` — real file-backed tensor
   persistence with optional bandwidth throttling and SSD wear accounting.
 - :class:`~repro.io.chunkstore.ChunkedTensorStore` — chunk-coalescing
@@ -27,22 +28,23 @@
   :class:`TenantContext` / :class:`TenantRegistry` (weights, byte and
   bandwidth quotas, admission) plus the thread-local tenant scope that
   attributes every store/load to its owning job.
-- :mod:`~repro.io.uring` — the batched submission/completion-queue lane
-  backend: vectored multi-request submissions over a pre-opened FD
-  table, a dedicated completion reaper, an ``O_DIRECT``-aligned write
-  path and the simulated GPUDirect-Storage lane
-  (:class:`GDSSimBackend`); :class:`~repro.io.aio.ThreadBackend` is the
-  default blocking model behind the same :class:`~repro.io.aio.IOBackend`
-  interface.
+- :mod:`~repro.io.uring` — the submission/completion-queue lane backend
+  (a dedicated completion reaper, optional ``O_DIRECT`` write
+  descriptors) and the simulated GPUDirect-Storage lane
+  (:class:`GDSSimBackend`); it shares the thread backend's submission
+  loop and differs only in who completes each request.
 """
 
 from repro.io.aio import (
-    AsyncIOPool,
+    FDTable,
     IOBackend,
+    IOContext,
     IOJob,
     IOLaneStats,
     ThreadBackend,
     count_syscalls,
+    current_io_context,
+    io_context,
     syscall_tape,
 )
 from repro.io.buffers import (
@@ -81,17 +83,9 @@ from repro.io.tenancy import (
     jain_index,
     tenant_scope,
 )
-from repro.io.uring import (
-    FDTable,
-    GDSSimBackend,
-    IOContext,
-    UringBackend,
-    current_io_context,
-    io_context,
-)
+from repro.io.uring import GDSSimBackend, UringBackend
 
 __all__ = [
-    "AsyncIOPool",
     "IOBackend",
     "IOJob",
     "IOLaneStats",

@@ -1,22 +1,32 @@
 """The IOJob state machine, the lane-backend interface, and the thread backend.
 
-The paper's tensor cache owns two pools — "one for storing tensors and
-the other for loading tensors.  Submitted jobs are executed in
-first-in-first-out (FIFO) order." (Sec. III-C2.)  The cache now runs on
-the priority-aware :class:`~repro.io.scheduler.IOScheduler` instead;
-:class:`AsyncIOPool` remains as the paper-faithful baseline (deprecated
-for direct construction).  :class:`IOJob` is the shared unit of work:
-observable state (pending/running/done/failed/cancelled), a completion
-event, done callbacks, and a ``cancel``/``run`` handshake that lets
-exactly one side win the PENDING race.
+The paper's tensor cache owns two FIFO pools, "one for storing tensors
+and the other for loading tensors" (Sec. III-C2); here both channels
+run on the priority-aware :class:`~repro.io.scheduler.IOScheduler`
+(``fifo=True`` restores the paper's submission order).
+:class:`IOJob` is its unit of work: observable state
+(pending/running/done/failed/cancelled), a completion event, done
+callbacks, and a ``cancel``/``claim`` handshake that lets exactly one
+side win the PENDING race.
 
-This module also defines the pluggable **lane execution backend**
-(:class:`IOBackend`): the scheduler's worker loop dequeues a batch and
-hands it to the installed backend, which decides *how* the member
-requests hit the kernel.  :class:`ThreadBackend` is the default and
-reproduces the pre-backend worker-loop semantics operation-for-operation
-(the ``io_backend="thread"`` escape hatch); the submission/completion
--queue backend lives in :mod:`repro.io.uring`.
+This module also owns the one way bytes reach a file.  The stores
+(:mod:`repro.io.filestore` / :mod:`repro.io.chunkstore`) move each
+checksum frame with one ``pwritev``/``preadv`` (:func:`pwritev_full` /
+:func:`preadv_full`) over a descriptor that comes from one of two
+places: the lane's :class:`FDTable` when a backend installed an
+:class:`IOContext` around the request body, or a transient
+``open``/``close`` pair for callers outside a lane
+(:func:`write_descriptor` / :func:`read_descriptor`).
+
+The pluggable **lane execution backend** (:class:`IOBackend`) is what
+the scheduler's worker loop hands each dequeued batch to.  Every backend
+owns an FD table and runs the same submission loop
+(:meth:`IOBackend._submit`: claim, ``begin_request``, then the body
+under a syscall tape and the lane's I/O context); backends differ only
+in who completes the request.  :class:`ThreadBackend` (the default)
+completes each request inline on the lane worker;
+:class:`~repro.io.uring.UringBackend` hands completions to a reaper
+thread.
 
 Backend contract (docs/architecture.md §10): for every request in the
 batch the backend must (1) win :meth:`IOJob.claim` before touching it —
@@ -35,14 +45,30 @@ from __future__ import annotations
 
 import enum
 import logging
-import queue
+import os
 import threading
-import warnings
+import time
+from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.io.errors import retry_call
 from repro.io.tenancy import tenant_scope
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.io.buffers import BufferArena
+    from repro.io.gds import GDSRegistry
 
 logger = logging.getLogger(__name__)
 
@@ -95,6 +121,318 @@ class syscall_tape:
         if _TAPE.depth == 0:
             _TAPE.count = 0
         return False
+
+
+# --------------------------------------------------------------------------
+# Vectored syscalls: one iovec list carries a whole checksum frame
+# --------------------------------------------------------------------------
+
+
+#: Linux moves at most this many bytes per read/write call (MAX_RW_COUNT).
+MAX_RW_BYTES = 0x7FFFF000
+
+
+def _flat_views(buffers: Sequence) -> List[memoryview]:
+    """Byte-granular views over ``buffers`` (kept writable for reads)."""
+    views = []
+    for buf in buffers:
+        view = buf if isinstance(buf, memoryview) else memoryview(buf)
+        if view.ndim != 1 or view.format != "B":
+            view = view.cast("B")
+        views.append(view)
+    return views
+
+
+def _advance(views: List[memoryview], moved: int) -> None:
+    """Drop/trim the leading ``moved`` bytes from the iovec list."""
+    while views and moved >= views[0].nbytes:
+        moved -= views[0].nbytes
+        views.pop(0)
+    if views and moved:
+        views[0] = views[0][moved:]
+
+
+def pwritev_full(fd: int, buffers: Sequence, offset: int = 0) -> int:
+    """Write every byte of ``buffers`` at ``offset`` via ``os.pwritev``.
+
+    One syscall in the common case; short writes resume from where the
+    kernel stopped.  Returns the total bytes written.
+    """
+    views = _flat_views(buffers)
+    total = 0
+    while views:
+        written = os.pwritev(fd, views, offset)
+        count_syscalls(1)
+        if written <= 0:
+            raise OSError(f"pwritev made no progress at offset {offset}")
+        total += written
+        offset += written
+        _advance(views, written)
+    return total
+
+
+def preadv_full(fd: int, buffers: Sequence, offset: int = 0) -> int:
+    """Fill ``buffers`` from ``offset`` via ``os.preadv``; stops at EOF.
+
+    Returns the total bytes read (callers use the shortfall — or the
+    overshoot into a probe buffer — to detect torn/oversized files
+    without a separate ``fstat``).  On a regular file the kernel
+    returns a short count only at EOF or at its per-call cap
+    (:data:`MAX_RW_BYTES`), so a short read below the cap ends the loop
+    without a second call to confirm EOF: reading a whole frame plus an
+    unfilled probe byte is one syscall.
+    """
+    views = _flat_views(buffers)
+    total = 0
+    while views:
+        wanted = sum(view.nbytes for view in views)
+        got = os.preadv(fd, views, offset)
+        count_syscalls(1)
+        total += got
+        if got < min(wanted, MAX_RW_BYTES):  # EOF
+            break
+        offset += got
+        _advance(views, got)
+    return total
+
+
+# --------------------------------------------------------------------------
+# FD table
+# --------------------------------------------------------------------------
+
+
+class _FDEntry:
+    __slots__ = ("fd", "direct")
+
+    def __init__(self, fd: int, direct: bool) -> None:
+        self.fd = fd
+        self.direct = direct
+
+
+class FDTable:
+    """Pre-opened file descriptors keyed by path (the fixed-file table).
+
+    A write acquires (and caches) a descriptor so the follow-up read
+    skips the ``open``/``close`` pair entirely; the LRU bound
+    (``max_open``) keeps the table inside the process's fd budget —
+    an evicted path simply reopens on next touch.
+
+    ``direct=True`` opens *write* descriptors with ``O_DIRECT`` where
+    the platform and filesystem allow, counting a ``direct_fallback``
+    per refused file.  Read acquisitions always demote to a buffered
+    descriptor: ``O_DIRECT`` reads would demand alignment from the
+    caller-owned destination arrays, which the load path cannot
+    guarantee (documented in docs/architecture.md §10).
+    """
+
+    def __init__(self, max_open: int = 128, direct: bool = False) -> None:
+        if max_open < 1:
+            raise ValueError(f"max_open must be >= 1: {max_open}")
+        self.direct = direct and hasattr(os, "O_DIRECT")
+        self.max_open = max_open
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[str, _FDEntry]" = OrderedDict()
+        self.opens = 0
+        self.closes = 0
+        self.direct_fallbacks = 0
+
+    # ------------------------------------------------------------- internals
+    def _open(self, path: str, flags: int) -> int:
+        fd = os.open(path, flags, 0o644)
+        count_syscalls(1)
+        self.opens += 1
+        return fd
+
+    def _close(self, entry: _FDEntry) -> None:
+        try:
+            os.close(entry.fd)
+        except OSError:  # pragma: no cover - close failures are benign
+            pass
+        count_syscalls(1)
+        self.closes += 1
+
+    def _evict_locked(self) -> None:
+        while len(self._entries) > self.max_open:
+            _, entry = self._entries.popitem(last=False)
+            self._close(entry)
+
+    # ------------------------------------------------------------- acquire
+    def acquire_write(self, path: str) -> Tuple[int, bool, bool, bool]:
+        """Descriptor for writing ``path``.
+
+        Returns ``(fd, direct, cached, fell_back)``: ``direct`` is
+        whether the descriptor carries ``O_DIRECT``; ``cached`` whether
+        it was reused (the caller must ``ftruncate`` after a reused
+        write — a fresh descriptor opens with ``O_TRUNC``);
+        ``fell_back`` whether this call hit the O_DIRECT fallback.
+        """
+        with self._lock:
+            entry = self._entries.get(path)
+            if entry is not None:
+                self._entries.move_to_end(path)
+                return entry.fd, entry.direct, True, False
+            flags = os.O_RDWR | os.O_CREAT | os.O_TRUNC
+            fell_back = False
+            direct = False
+            if self.direct:
+                try:
+                    fd = self._open(path, flags | os.O_DIRECT)
+                    direct = True
+                except OSError:
+                    # The filesystem refused O_DIRECT (common on tmpfs/
+                    # overlayfs): fall back to buffered, per file.
+                    self.direct_fallbacks += 1
+                    fell_back = True
+                    fd = self._open(path, flags)
+            else:
+                fd = self._open(path, flags)
+            self._entries[path] = _FDEntry(fd, direct)
+            self._evict_locked()
+            return fd, direct, False, fell_back
+
+    def acquire_read(self, path: str) -> int:
+        """Descriptor for reading ``path`` (buffered, never O_DIRECT).
+
+        Raises :class:`FileNotFoundError` when the path does not exist
+        and no descriptor is cached, like a transient ``open`` would.
+        """
+        with self._lock:
+            entry = self._entries.get(path)
+            if entry is not None and not entry.direct:
+                self._entries.move_to_end(path)
+                return entry.fd
+            if entry is not None:
+                # A direct descriptor cannot serve unaligned destination
+                # buffers; replace it with a buffered one.
+                del self._entries[path]
+                self._close(entry)
+            fd = self._open(path, os.O_RDWR)
+            self._entries[path] = _FDEntry(fd, False)
+            self._evict_locked()
+            return fd
+
+    def invalidate(self, path: str) -> None:
+        """Close and forget ``path``'s descriptor (file was deleted)."""
+        with self._lock:
+            entry = self._entries.pop(path, None)
+            if entry is not None:
+                self._close(entry)
+
+    def close_all(self) -> None:
+        with self._lock:
+            for entry in self._entries.values():
+                self._close(entry)
+            self._entries.clear()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+
+# --------------------------------------------------------------------------
+# I/O context: the lane state a backend installs around request bodies
+# --------------------------------------------------------------------------
+
+
+class IOContext:
+    """Per-batch execution context a backend installs around bodies.
+
+    The stores read :func:`current_io_context` inside ``write``/``read``
+    and, when one is active, take their descriptors from ``fds``.
+    ``gds`` (GDS-sim only) carries the registry the SSD store consults
+    for bounce-vs-direct routing; ``arena`` provides the staging leases
+    for the bounce path and for O_DIRECT-aligned writes.
+    """
+
+    __slots__ = ("fds", "lane", "backend", "arena", "gds")
+
+    def __init__(
+        self,
+        fds: FDTable,
+        lane: str,
+        backend: Optional["IOBackend"] = None,
+        arena: Optional["BufferArena"] = None,
+        gds: Optional["GDSRegistry"] = None,
+    ) -> None:
+        self.fds = fds
+        self.lane = lane
+        self.backend = backend
+        self.arena = arena
+        self.gds = gds
+
+    def note_bounce(self, skipped: bool) -> None:
+        """Book one GDS-sim routing decision on the backend's lane books."""
+        if self.backend is not None:
+            self.backend._note_bounce(self.lane, skipped)
+
+    def note_direct_fallback(self) -> None:
+        """Book a write-time O_DIRECT refusal (open-time ones are counted
+        by the FD table)."""
+        if self.backend is not None:
+            self.backend._note_direct_fallback(self.lane)
+
+
+class _ContextState(threading.local):
+    current: Optional[IOContext] = None
+
+
+_STATE = _ContextState()
+
+
+def current_io_context() -> Optional[IOContext]:
+    """The I/O context installed on this thread, if any."""
+    return _STATE.current
+
+
+@contextmanager
+def io_context(ctx: IOContext) -> Iterator[IOContext]:
+    """Install ``ctx`` as the thread's I/O context for the scope."""
+    previous = _STATE.current
+    _STATE.current = ctx
+    try:
+        yield ctx
+    finally:
+        _STATE.current = previous
+
+
+@contextmanager
+def write_descriptor(
+    path: str, ctx: Optional[IOContext]
+) -> Iterator[Tuple[int, bool, bool]]:
+    """``(fd, direct, cached)`` for writing ``path``.
+
+    Under a lane's context the descriptor comes from its FD table (see
+    :meth:`FDTable.acquire_write`); otherwise it is a transient
+    ``O_TRUNC`` open, closed when the scope exits.
+    """
+    if ctx is not None:
+        fd, direct, cached, _ = ctx.fds.acquire_write(path)
+        yield fd, direct, cached
+        return
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+    count_syscalls(1)
+    try:
+        yield fd, False, False
+    finally:
+        os.close(fd)
+        count_syscalls(1)
+
+
+@contextmanager
+def read_descriptor(path: str, ctx: Optional[IOContext]) -> Iterator[int]:
+    """A descriptor for reading ``path``: the lane's cached one under a
+    context, else a transient open closed when the scope exits.  Raises
+    :class:`FileNotFoundError` when the file is missing."""
+    if ctx is not None:
+        yield ctx.fds.acquire_read(path)
+        return
+    fd = os.open(path, os.O_RDONLY)
+    count_syscalls(1)
+    try:
+        yield fd
+    finally:
+        os.close(fd)
+        count_syscalls(1)
 
 
 class JobState(enum.Enum):
@@ -282,19 +620,14 @@ class IOJob:
             self.done_event.set()
         self._dispatch(callbacks)
 
-    def execute(self) -> None:
-        """Run the claimed job body; caller must have won :meth:`claim`.
-
-        Equivalent to ``complete(*run_body())`` — the synchronous path
-        used by the thread backend and by plain pool jobs.  The terminal
-        state is DONE, or FAILED with the last error via ``.error``.
-        """
-        result, error = self.run_body()
-        self.complete(result, error)
-
     def run(self) -> None:
+        """Claim and run the job synchronously on the calling thread.
+
+        The terminal state is DONE, or FAILED with the last error via
+        ``.error``; a job already claimed or cancelled is left alone.
+        """
         if self.claim():
-            self.execute()
+            self.complete(*self.run_body())
 
 
 # --------------------------------------------------------------------------
@@ -339,13 +672,28 @@ class IOLaneStats:
         return self
 
 
+class _CQE:
+    """One completion-queue entry: a submitted request plus its outcome."""
+
+    __slots__ = ("request", "result", "error")
+
+    def __init__(
+        self, request: IOJob, result: object, error: Optional[BaseException]
+    ) -> None:
+        self.request = request
+        self.result = result
+        self.error = error
+
+
 class IOBackend:
     """How a lane batch reaches the kernel (see the module docstring).
 
-    Subclasses implement :meth:`run_batch`.  The scheduler calls
-    :meth:`bind` once at construction and :meth:`shutdown` after its
-    workers have been joined (so no batch is in flight when the backend
-    tears down its reaper/FD state).
+    Every backend owns an :class:`FDTable` (plus an optional staging
+    ``arena``) and submits through :meth:`_submit`; subclasses implement
+    :meth:`run_batch` by deciding who completes each submitted request
+    (:meth:`_complete`).  The scheduler calls :meth:`bind` once at
+    construction and :meth:`shutdown` after its workers have been joined
+    (so no batch is in flight when the backend closes its descriptors).
     """
 
     name = "backend"
@@ -354,6 +702,8 @@ class IOBackend:
         self.scheduler = None  # bound by IOScheduler.__init__
         self._stats_lock = threading.Lock()
         self._lanes: Dict[str, IOLaneStats] = {}
+        self.fds = FDTable()
+        self.arena: Optional["BufferArena"] = None
 
     def bind(self, scheduler) -> None:
         self.scheduler = scheduler
@@ -374,26 +724,34 @@ class IOBackend:
             stats = self._lanes[lane] = IOLaneStats()
         return stats
 
-    def shutdown(self) -> None:  # pragma: no cover - default is a no-op
-        pass
+    def _context_for(self, lane: str) -> IOContext:
+        return IOContext(fds=self.fds, lane=lane, backend=self, arena=self.arena)
 
+    def _note_bounce(self, lane: str, skipped: bool) -> None:
+        with self._stats_lock:
+            stats = self._lane(lane)
+            if skipped:
+                stats.bounce_copies_skipped += 1
+            else:
+                stats.bounce_copies += 1
 
-class ThreadBackend(IOBackend):
-    """The default backend: blocking I/O on the dequeuing worker thread.
+    def _note_direct_fallback(self, lane: str) -> None:
+        with self._stats_lock:
+            self._lane(lane).direct_fallbacks += 1
 
-    This is the pre-backend worker loop, operation for operation — the
-    ``io_backend="thread"`` A/B escape hatch.  The only additions are
-    observational: the syscall tape around each body and the per-lane
-    batch books, neither of which touches request semantics.
-    """
+    # ------------------------------------------------------------ submission
+    def _submit(self, lane: str, batch: List[IOJob]) -> Iterator[_CQE]:
+        """The shared submission loop; yields each body's outcome.
 
-    name = "thread"
-
-    def run_batch(self, lane: str, batch: List["IOJob"]) -> None:
+        Claims every member (a lost claim is skipped silently), books it
+        started, and runs its body — bounded retries included — under a
+        syscall tape, the request's tenant scope and the lane's
+        :class:`IOContext`.  ``finished_at`` is stamped when the body
+        returns, so any later completion delay is reap lag.
+        """
         sched = self.scheduler
+        ctx = self._context_for(lane)
         claimed = 0
-        done_members = 0
-        trailing_done_bytes = 0
         batch_syscalls = 0
         for request in batch:
             if not request.claim():
@@ -406,21 +764,13 @@ class ThreadBackend(IOBackend):
             sched.begin_request(request)
             tape = syscall_tape()
             try:
-                with tape, tenant_scope(request.tenant):
-                    request.execute()
-            except Exception:
-                logger.exception(
-                    "request %s raised outside the job body", request.label
-                )
-            finally:
-                batch_syscalls += tape.count
-                sched.finish_request(request)
-            if request.state is JobState.DONE:
-                done_members += 1
-                if done_members > 1:
-                    trailing_done_bytes += request.nbytes
-            sched.notify_done(request)
-        sched.book_coalesced(done_members, trailing_done_bytes)
+                with tape, tenant_scope(request.tenant), io_context(ctx):
+                    result, error = request.run_body()
+            except Exception as exc:  # belt: run_body itself never raises
+                result, error = None, exc
+            batch_syscalls += tape.count
+            request.finished_at = time.monotonic()
+            yield _CQE(request, result, error)
         with self._stats_lock:
             stats = self._lane(lane)
             stats.syscalls += batch_syscalls
@@ -429,105 +779,56 @@ class ThreadBackend(IOBackend):
             if claimed > 1:
                 stats.batched_requests += claimed
 
+    def _complete(self, cqe: _CQE, lag_s: float = 0.0) -> None:
+        """Apply one outcome: terminal state and done callbacks (inside
+        the request's tenant scope, so refunds and arena attribution land
+        on the right tenant), then the scheduler's finish books."""
+        request = cqe.request
+        sched = self.scheduler
+        try:
+            with tenant_scope(request.tenant):
+                request.complete(cqe.result, cqe.error)
+        except Exception:
+            logger.exception(
+                "request %s raised outside its body (callback failure)",
+                request.label,
+            )
+        finally:
+            sched.note_reap_lag(request, lag_s)
+            sched.finish_request(request)
+        sched.notify_done(request)
 
-class AsyncIOPool:
-    """A FIFO pool of worker threads (deprecated for direct construction).
-
-    The pools survive as the paper-faithful FIFO baseline, but new code
-    should go through :class:`~repro.io.scheduler.IOScheduler` (with
-    ``io_backend="thread"`` for the equivalent execution model) — the
-    scheduler owns lanes, priorities, retries, and telemetry the pool
-    never had.  Direct construction warns the same way PR 7 deprecated
-    ``TensorCache.store_pool``/``load_pool``.
-
-    Job-state handling is owned entirely by :class:`IOJob`: the pool's
-    pending/idle books ride the job's done callbacks (one firing per
-    terminal transition, cancellation included) instead of a duplicate
-    bookkeeping path in the worker loop.
-
-    Args:
-        num_workers: worker thread count (1 preserves strict FIFO
-            completion order, matching a single SSD queue; more workers
-            model deeper NVMe queues).
-        name: thread-name prefix for debugging.
-    """
-
-    def __init__(self, num_workers: int = 1, name: str = "io") -> None:
-        if num_workers < 1:
-            raise ValueError(f"need at least one worker: {num_workers}")
-        warnings.warn(
-            "AsyncIOPool is deprecated; submit through IOScheduler "
-            "(io_backend='thread' preserves the blocking execution model)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.name = name
-        self._queue: "queue.Queue[Optional[IOJob]]" = queue.Queue()
-        self._shutdown = False
-        self._lock = threading.Lock()
-        self._pending = 0
-        self._idle = threading.Event()
-        self._idle.set()
-        self._workers = [
-            threading.Thread(target=self._worker_loop, name=f"{name}-{i}", daemon=True)
-            for i in range(num_workers)
-        ]
-        for worker in self._workers:
-            worker.start()
-
-    def _worker_loop(self) -> None:
-        while True:
-            job = self._queue.get()
-            if job is None:
-                return
-            job.run()
-
-    def _on_job_done(self, job: IOJob) -> None:
-        # The completion callback IOJob already owns fires exactly once
-        # per terminal transition (DONE/FAILED/CANCELLED), so the books
-        # cannot double-count a job a canceller beat the worker to.
-        with self._lock:
-            self._pending -= 1
-            if self._pending == 0:
-                self._idle.set()
-
-    def submit(self, fn: Callable[[], Any], label: str = "") -> IOJob:
-        """Enqueue work; returns the job handle."""
-        with self._lock:
-            if self._shutdown:
-                raise RuntimeError(f"pool {self.name} is shut down")
-            self._pending += 1
-            self._idle.clear()
-        job = IOJob(fn, label=label)
-        job.add_done_callback(self._on_job_done)
-        self._queue.put(job)
-        return job
-
-    @property
-    def pending(self) -> int:
-        with self._lock:
-            return self._pending
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Block until every submitted job has finished."""
-        return self._idle.wait(timeout)
+    def _book_coalesced(self, cqes: List[_CQE]) -> None:
+        """Book a completed batch's coalescing outcome on the scheduler."""
+        done = [c.request for c in cqes if c.request.state is JobState.DONE]
+        self.scheduler.book_coalesced(len(done), sum(r.nbytes for r in done[1:]))
 
     def shutdown(self) -> None:
-        """Drain and stop the workers (idempotent)."""
-        with self._lock:
-            if self._shutdown:
-                return
-            self._shutdown = True
-        self._idle.wait()
-        for _ in self._workers:
-            self._queue.put(None)
-        for worker in self._workers:
-            worker.join(timeout=5)
+        """Close every cached descriptor (idempotent)."""
+        self.fds.close_all()
 
     close = shutdown
 
-    def __enter__(self) -> "AsyncIOPool":
+    def __enter__(self) -> "IOBackend":
         return self
 
     def __exit__(self, *exc: object) -> None:
         self.shutdown()
+
+
+class ThreadBackend(IOBackend):
+    """The default backend: blocking I/O completed on the lane worker.
+
+    Each request's body runs through the shared submission loop and is
+    completed inline right after it returns, before the next member of
+    the batch starts — so completion never lags the I/O.
+    """
+
+    name = "thread"
+
+    def run_batch(self, lane: str, batch: List[IOJob]) -> None:
+        cqes = []
+        for cqe in self._submit(lane, batch):
+            self._complete(cqe)
+            cqes.append(cqe)
+        self._book_coalesced(cqes)

@@ -34,9 +34,8 @@ storm of first-touch on cold pages.
 
 :class:`CopyCounter` is the shared copy-count telemetry: every component
 of the data plane (file store, chunk store, CPU offloader) counts the
-memcpys it performs and the allocations the streaming/pooled path avoided
-versus the legacy copy map, so "we eliminated the copies" is a printed
-number, not a claim.
+memcpys it performs, and the arena's hit count says how many allocations
+reuse absorbed, so the copy map is a printed number, not a claim.
 """
 
 from __future__ import annotations
@@ -90,12 +89,6 @@ class ArenaStats:
     outstanding_by_tenant: Dict[str, int] = field(default_factory=dict)
 
     @property
-    def allocs_avoided(self) -> int:
-        """Allocations the pool absorbed (each hit is one ``np.empty``
-        plus its first-touch page faults that never happened)."""
-        return self.hits
-
-    @property
     def hit_rate(self) -> float:
         return self.hits / self.leases if self.leases else 0.0
 
@@ -111,30 +104,24 @@ class CopySnapshot:
 
     copies: int = 0
     bytes_copied: int = 0
-    allocs_avoided: int = 0
 
 
 class CopyCounter:
-    """Thread-safe memcpy/allocation telemetry for one data-plane stage."""
+    """Thread-safe memcpy telemetry for one data-plane stage."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._copies = 0
         self._bytes_copied = 0
-        self._allocs_avoided = 0
 
     def count_copy(self, nbytes: int, copies: int = 1) -> None:
         with self._lock:
             self._copies += copies
             self._bytes_copied += nbytes * copies
 
-    def count_avoided(self, allocs: int = 1) -> None:
-        with self._lock:
-            self._allocs_avoided += allocs
-
     def snapshot(self) -> CopySnapshot:
         with self._lock:
-            return CopySnapshot(self._copies, self._bytes_copied, self._allocs_avoided)
+            return CopySnapshot(self._copies, self._bytes_copied)
 
 
 def owned_copy(
@@ -384,17 +371,15 @@ class BufferArena:
 class DataPlaneStats:
     """Aggregated copy-map telemetry across a backend's components.
 
-    ``bytes_copied``/``copies`` count the memcpys actually performed,
-    ``allocs_avoided`` the allocations the pooled/streaming paths skipped
-    versus the legacy copy map (``tobytes()`` temporaries, header+payload
-    concats, whole-file slurps, per-store fresh arrays).  The arena
-    fields surface the pool's reuse quality — ``arena_hit_rate`` is the
-    fraction of leases served without allocating.
+    ``bytes_copied``/``copies`` count the memcpys actually performed.
+    The arena fields surface the pool's reuse quality: each arena hit is
+    a fresh allocation (and its first-touch page faults) that never
+    happened, and ``arena_hit_rate`` is the fraction of leases served
+    without allocating.
     """
 
     copies: int = 0
     bytes_copied: int = 0
-    allocs_avoided: int = 0
     arena_leases: int = 0
     arena_hits: int = 0
     arena_misses: int = 0
@@ -415,7 +400,6 @@ class DataPlaneStats:
     def add_counter(self, snap: CopySnapshot) -> None:
         self.copies += snap.copies
         self.bytes_copied += snap.bytes_copied
-        self.allocs_avoided += snap.allocs_avoided
 
     def add_arena(self, stats: ArenaStats) -> None:
         self.arena_leases += stats.leases
@@ -424,14 +408,10 @@ class DataPlaneStats:
         self.arena_outstanding += stats.outstanding
         self.arena_high_water_bytes += stats.high_water_bytes
         self.arena_retained_bytes += stats.retained_bytes
-        # Every arena hit is a fresh allocation (and its page faults)
-        # that never happened.
-        self.allocs_avoided += stats.hits
 
     def merge(self, other: "DataPlaneStats") -> "DataPlaneStats":
         self.copies += other.copies
         self.bytes_copied += other.bytes_copied
-        self.allocs_avoided += other.allocs_avoided
         self.arena_leases += other.arena_leases
         self.arena_hits += other.arena_hits
         self.arena_misses += other.arena_misses

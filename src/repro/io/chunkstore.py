@@ -16,7 +16,7 @@ moving whole chunks between tiers.
   **one** sequential file write;
 - ``read`` serves tensors still in the open chunk straight from memory
   (the chunk-level analogue of data forwarding) and otherwise does one
-  ranged read (seek + read) into the flushed chunk file;
+  ranged read into the flushed chunk file;
 - every chunk keeps a **refcount** of the live tensors inside it;
   ``delete`` decrements it, and when a chunk's refcount hits zero its
   file is unlinked — space is reclaimed at chunk granularity, like the
@@ -27,16 +27,17 @@ The store intentionally mirrors the :class:`TensorFileStore` API
 so :class:`~repro.core.offloader.SSDOffloader` can swap it in behind an
 unchanged :class:`~repro.core.tensor_cache.TensorCache`.
 
-**Zero-copy streaming (PR 5):** ``write`` appends the tensor's
+**One write body, one read body.**  ``write`` appends the tensor's
 contiguous ``memoryview`` straight into the open-chunk staging buffer
 (no ``tobytes()`` temporary) with the index crc32 computed over the same
-view; the flush hands the ``bytearray`` to the kernel directly instead
-of materializing a ``bytes`` payload first; ranged reads ``readinto``
-the destination array (one disk-to-array transfer), and open-chunk reads
-copy once out of a ``memoryview`` window over the staging buffer.
-``legacy_copies=True`` restores the old copy map for A/B benchmarks, and
-``copy_stats`` (:class:`~repro.io.buffers.CopyCounter`) counts both
-sides.
+view; a flush hands the ``bytearray`` to one ``pwritev``; a ranged read
+is one ``preadv`` into the destination array, and open-chunk reads copy
+once out of a ``memoryview`` window over the staging buffer.  As in
+:class:`~repro.io.filestore.TensorFileStore`, the only branch is where
+the descriptor comes from: the lane's :class:`~repro.io.aio.FDTable`
+under an :class:`~repro.io.aio.IOContext`, else a transient
+``open``/``close``.  ``copy_stats``
+(:class:`~repro.io.buffers.CopyCounter`) counts every memcpy.
 
 **Durability + endurance (service mode):** ``durable=True`` journals
 every index mutation — chunk flushes, deletes, clears, compactions —
@@ -69,12 +70,19 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.device.ssd import RAID0Array, SSD
-from repro.io.aio import count_syscalls, syscall_tape
+from repro.io.aio import (
+    count_syscalls,
+    current_io_context,
+    preadv_full,
+    pwritev_full,
+    read_descriptor,
+    syscall_tape,
+    write_descriptor,
+)
 from repro.io.buffers import CopyCounter
 from repro.io.errors import IntegrityError, is_enospc
 from repro.io.filestore import contiguous_view
 from repro.io.manifest import JournalWriter, read_journal
-from repro.io.uring import current_io_context, preadv_full, pwritev_full
 
 #: Default chunk size: 4 MiB — large enough that a P5800X-class SSD sees
 #: near-sequential bandwidth, small enough to bound the open-chunk buffer.
@@ -130,9 +138,6 @@ class ChunkedTensorStore:
             :class:`TensorFileStore` semantics (applied to chunk flushes
             and ranged reads).
         array: optional SSD/RAID0 wear model charged with the traffic.
-        legacy_copies: restore the pre-streaming copy map (``tobytes()``
-            staging, ``bytes`` flush payloads, slice+copy reads) — the
-            A/B baseline for ``bench_dataplane.py``.
         durable: journal every index mutation to ``root/manifest.log``
             and replay an existing manifest on construction — the crash
             -recovery substrate of the service mode.  A durable store's
@@ -150,7 +155,6 @@ class ChunkedTensorStore:
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
         throttle_bytes_per_s: Optional[float] = None,
         array: Optional[Union[SSD, RAID0Array]] = None,
-        legacy_copies: bool = False,
         durable: bool = False,
         roots: Optional[Sequence[Union[str, Path]]] = None,
     ) -> None:
@@ -169,11 +173,10 @@ class ChunkedTensorStore:
         self.chunk_bytes = chunk_bytes
         self.throttle_bytes_per_s = throttle_bytes_per_s
         self.array = array
-        self.legacy_copies = legacy_copies
         self.durable = durable
         self.copy_stats = CopyCounter()
-        #: FD table of the last batched backend that drove this store
-        #: (self-attached by the vectored paths); chunk reclaim
+        #: FD table of the last lane backend that drove this store
+        #: (self-attached by flushes and reads); chunk reclaim
         #: invalidates its cached descriptors.  Every table ever
         #: attached is remembered in ``_fd_tables`` so an unlink
         #: invalidates across backend swaps (service restarts), not just
@@ -540,7 +543,7 @@ class ChunkedTensorStore:
         return self._chunk_path(chunk_id)
 
     def _attach_fd_table(self, table: object) -> None:
-        """Remember a batched backend's FD table for unlink invalidation."""
+        """Remember a lane backend's FD table for unlink invalidation."""
         if self.fd_table is not table:
             self.fd_table = table
         if table not in self._fd_tables:
@@ -568,10 +571,9 @@ class ChunkedTensorStore:
     def _flush_locked(self) -> None:
         """Write the open chunk as one file; caller holds the lock.
 
-        The staging ``bytearray`` is handed to the kernel directly — the
-        legacy ``bytes(buf)`` payload temporary is skipped — and then
-        dropped, so the chunk-sized allocation is paid once per chunk,
-        not once per flush plus once per payload copy.
+        The staging ``bytearray`` is handed to the kernel directly (no
+        ``bytes`` payload temporary) and then dropped, so the chunk-sized
+        allocation is paid once per chunk.
         """
         if not self._open_entries:
             self._open_buf = bytearray()
@@ -640,37 +642,24 @@ class ChunkedTensorStore:
         if self.fault_gate is not None:
             self.fault_gate(self._chunk_root.get(chunk_id, 0), nbytes)
         ctx = current_io_context()
-        if ctx is not None and not self.legacy_copies:
-            # Batched backend: one pwritev over a pre-opened descriptor.
-            # The chunk staging buffer is ordinary (unaligned) host
-            # memory, so a direct descriptor is demoted to buffered —
-            # chunk flushes are already large sequential writes and the
-            # staging buffer *is* the host bounce by design.
+        if ctx is not None:
             self._attach_fd_table(ctx.fds)
-            path = str(self._chunk_path(chunk_id))
-            tape = syscall_tape()
-            with tape:
-                fd, direct, cached, _ = ctx.fds.acquire_write(path)
-                if direct:
-                    fd = ctx.fds.acquire_read(path)
-                    cached = True
-                pwritev_full(fd, [self._open_buf])
-                if cached:
-                    os.ftruncate(fd, nbytes)
-                    count_syscalls(1)
-            syscalls = tape.count
-            self.copy_stats.count_avoided(1)  # the bytes() payload temp
-        else:
-            with open(self._chunk_path(chunk_id), "wb") as f:
-                if self.legacy_copies:
-                    f.write(bytes(self._open_buf))
-                    self.copy_stats.count_copy(nbytes)
-                else:
-                    f.write(self._open_buf)
-                    self.copy_stats.count_avoided(1)  # the bytes() payload temp
-            syscalls = 3  # open + write + close
-            count_syscalls(syscalls)
-        return syscalls
+        path = str(self._chunk_path(chunk_id))
+        tape = syscall_tape()
+        with tape, write_descriptor(path, ctx) as (fd, direct, cached):
+            if direct:
+                # The staging buffer is ordinary (unaligned) host memory,
+                # so a direct descriptor is demoted to buffered — chunk
+                # flushes are already large sequential writes and the
+                # staging buffer *is* the host bounce by design.
+                fd = ctx.fds.acquire_read(path)
+                cached = True
+            pwritev_full(fd, [self._open_buf])
+            if cached:
+                # A reused descriptor must drop any longer stale tail.
+                os.ftruncate(fd, nbytes)
+                count_syscalls(1)
+        return tape.count
 
     def write(self, tensor_id: str, data: np.ndarray) -> Path:
         """Append ``data`` to the open chunk; flush it when full.
@@ -686,13 +675,8 @@ class ChunkedTensorStore:
         nbytes = contiguous.nbytes
         if copied:
             self.copy_stats.count_copy(nbytes)
-        if self.legacy_copies:
-            raw = contiguous.tobytes()
-            self.copy_stats.count_copy(nbytes, copies=2)  # tobytes + extend
-        else:
-            raw = memoryview(contiguous.reshape(-1)).cast("B")
-            self.copy_stats.count_copy(nbytes)  # the one staging append
-            self.copy_stats.count_avoided(1)  # the tobytes() temporary
+        raw = memoryview(contiguous.reshape(-1)).cast("B")
+        self.copy_stats.count_copy(nbytes)  # the one staging append
         crc = zlib.crc32(raw)
         with self._lock:
             self._delete_locked(tensor_id)  # overwrite drops the old copy
@@ -721,9 +705,11 @@ class ChunkedTensorStore:
 
         Tensors still in the open chunk are served from memory without
         any file I/O — one copy out of a ``memoryview`` window over the
-        staging buffer; flushed tensors cost one ranged ``readinto`` the
-        destination array.  Both paths validate the index-held length
-        before touching payload bytes.
+        staging buffer; flushed tensors cost one ranged ``preadv`` into
+        the destination array, over the lane's cached descriptor under
+        an :class:`~repro.io.aio.IOContext`, else a transient open.
+        Both paths validate the index-held length before touching
+        payload bytes.
         """
         start = time.monotonic()
         dtype = np.dtype(dtype)
@@ -732,15 +718,6 @@ class ChunkedTensorStore:
             open_loc = self._open_entries.get(tensor_id)
             if open_loc is not None:
                 self._check_length(tensor_id, open_loc, expected)
-                if self.legacy_copies:
-                    raw = bytes(
-                        self._open_buf[
-                            open_loc.offset : open_loc.offset + open_loc.nbytes
-                        ]
-                    )
-                    self._verify(tensor_id, open_loc, raw)
-                    self.copy_stats.count_copy(open_loc.nbytes, copies=2)
-                    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
                 # The staging buffer mutates under this lock only; copy
                 # out through a released-before-return window so the
                 # bytearray is never left with a live buffer export (a
@@ -755,7 +732,6 @@ class ChunkedTensorStore:
                     finally:
                         window.release()
                 self.copy_stats.count_copy(open_loc.nbytes)
-                self.copy_stats.count_avoided(1)  # the bytes() slice temp
                 return data
             loc = self._index.get(tensor_id)
             if loc is None:
@@ -763,65 +739,35 @@ class ChunkedTensorStore:
             path = self._chunk_path(loc.chunk_id)
         self._check_length(tensor_id, loc, expected)
         ctx = current_io_context()
-        if self.legacy_copies:
-            with open(path, "rb") as f:
-                f.seek(loc.offset)
-                raw = f.read(loc.nbytes)
-            self._verify(tensor_id, loc, raw)
-            data = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-            self.copy_stats.count_copy(loc.nbytes, copies=2)
-            syscalls = 4  # open + seek + read + close
-            count_syscalls(syscalls)
-        elif ctx is not None:
-            # Batched backend: one preadv at the tensor's chunk offset,
-            # straight into the destination array.
+        if ctx is not None:
             self._attach_fd_table(ctx.fds)
-            flat = np.empty(expected // dtype.itemsize, dtype)
-            view = memoryview(flat)
-            tape = syscall_tape()
-            with tape:
-                try:
-                    fd = ctx.fds.acquire_read(str(path))
-                except FileNotFoundError:
-                    raise FileNotFoundError(
-                        f"no offloaded tensor {tensor_id!r} in chunk store"
-                    ) from None
-                got = preadv_full(fd, [view], offset=loc.offset)
-            syscalls = tape.count
-            if got != loc.nbytes:
-                raise IntegrityError(
-                    f"torn write: tensor {tensor_id!r} expected {loc.nbytes} bytes "
-                    f"in chunk {loc.chunk_id}, read {got}"
-                )
-            self._verify(tensor_id, loc, view)
-            data = flat.reshape(shape)
-            self.copy_stats.count_copy(loc.nbytes)
-            self.copy_stats.count_avoided(1)  # the ranged-read bytes temp
-        else:
-            flat = np.empty(expected // dtype.itemsize, dtype)
-            view = memoryview(flat)
-            with open(path, "rb") as f:
-                f.seek(loc.offset)
-                got = f.readinto(view)
-            if got != loc.nbytes:
-                # readinto always fills the full-size destination view,
-                # so the short-read case needs its own length check; the
-                # crc (and its message) stays centralized in _verify.
-                raise IntegrityError(
-                    f"torn write: tensor {tensor_id!r} expected {loc.nbytes} bytes "
-                    f"in chunk {loc.chunk_id}, read {got}"
-                )
-            self._verify(tensor_id, loc, view)
-            data = flat.reshape(shape)
-            self.copy_stats.count_copy(loc.nbytes)
-            self.copy_stats.count_avoided(1)  # the ranged-read bytes temp
-            syscalls = 4  # open + seek + readinto + close
-            count_syscalls(syscalls)
+        flat = np.empty(expected // dtype.itemsize, dtype)
+        view = memoryview(flat)
+        tape = syscall_tape()
+        with tape:
+            try:
+                with read_descriptor(str(path), ctx) as fd:
+                    got = preadv_full(fd, [view], offset=loc.offset)
+            except FileNotFoundError:
+                raise FileNotFoundError(
+                    f"no offloaded tensor {tensor_id!r} in chunk store"
+                ) from None
+        if got != loc.nbytes:
+            # The full-size destination view needs its own short-read
+            # check; the crc (and its message) stays centralized in
+            # _verify.
+            raise IntegrityError(
+                f"torn write: tensor {tensor_id!r} expected {loc.nbytes} bytes "
+                f"in chunk {loc.chunk_id}, read {got}"
+            )
+        self._verify(tensor_id, loc, view)
+        data = flat.reshape(shape)
+        self.copy_stats.count_copy(loc.nbytes)
         self._throttle(loc.nbytes, start)
         with self._lock:
             self._bytes_read += loc.nbytes
             self._read_count += 1
-            self._read_syscalls += syscalls
+            self._read_syscalls += tape.count
         if self.array is not None:
             self.array.record_read(loc.nbytes)
         return data
@@ -832,8 +778,8 @@ class ChunkedTensorStore:
 
         The index is internally consistent here, so a mismatch is a
         deterministic caller shape/dtype bug — ``ValueError`` (fail
-        fast, non-retryable), matching the legacy ``frombuffer`` /
-        ``reshape`` behaviour; corruption keeps raising the retryable
+        fast, non-retryable), like the per-tensor store's framed-length
+        check; corruption keeps raising the retryable
         :class:`IntegrityError` from the crc/short-read checks.
         """
         if loc.nbytes != expected:

@@ -24,30 +24,23 @@ heals on re-read; corruption at rest exhausts the retry budget and
 surfaces.  All byte accounting (stats, throttle, wear model) stays on
 the payload — the 16-byte frame is bookkeeping, not traffic.
 
-**Zero-copy streaming (PR 5):** the store writes the 16-byte header and
-then the tensor's contiguous ``memoryview`` as two writes — no
-``tobytes()`` temporary, no header+payload ``bytes`` concatenation —
-with the crc32 computed directly over the view.  The read path validates
-the header (magic, framed length vs the expected tensor size, and the
-on-disk file size) *before* touching the payload, then ``readinto``\\ s
-the destination array directly: one disk-to-array transfer, zero staging
-buffers.  The on-disk format is bit-identical to the legacy writer
-(``frame_payload``), which remains for equivalence tests and the
-``legacy_copies=True`` A/B baseline; :class:`~repro.io.buffers.CopyCounter`
-telemetry (``copy_stats``) makes the eliminated copies a printed number.
-
-**Batched backends (PR 8):** when a lane backend installs an
-:class:`~repro.io.uring.IOContext` (``io_backend="uring"`` /
-``"gds-sim"``), ``write``/``read`` route through vectored entry points:
-one ``pwritev``/``preadv`` over a pre-opened descriptor from the
-backend's FD table carries the *same* frame bytes (a one-byte probe in
-the read scatter replaces the ``fstat`` torn-write check), with an
-optional ``O_DIRECT`` staged-aligned write path and GDS-sim bounce
-routing (registered storages skip the host staging copy).  Per-store
-``write_syscalls``/``read_syscalls`` counters plus the backend's syscall
-tape make the saved kernel round-trips a printed number too.  With no
-context installed the classic buffered paths run unchanged —
-``io_backend="thread"`` stays byte- and syscall-identical.
+**One write body, one read body.**  ``write`` moves the whole frame —
+16-byte header plus the tensor's contiguous ``memoryview`` — with one
+``pwritev`` (no ``tobytes()`` temporary, no header+payload
+concatenation; crc32 computed over the view), so the file is
+bit-identical to :func:`frame_payload`.  ``read`` scatters one
+``preadv`` into the header, the destination array and a one-byte probe
+(one disk-to-array transfer; the probe replaces an ``fstat`` torn-write
+check).  The only branch is where the descriptor comes from: the lane's
+:class:`~repro.io.aio.FDTable` when a backend installed an
+:class:`~repro.io.aio.IOContext` (so a read after a write on the same
+lane skips the ``open``/``close`` pair), or a transient ``open``/
+``close`` for callers outside a lane.  Under a context the write also
+honours ``O_DIRECT`` descriptors (staged aligned write) and GDS-sim
+bounce routing (registered storages skip the host staging copy).
+:class:`~repro.io.buffers.CopyCounter` telemetry (``copy_stats``) and
+the per-store ``write_syscalls``/``read_syscalls`` counters make copies
+and kernel round-trips printed numbers.
 """
 
 from __future__ import annotations
@@ -63,10 +56,18 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from repro.device.ssd import RAID0Array, SSD
-from repro.io.aio import count_syscalls, syscall_tape
+from repro.io.aio import (
+    IOContext,
+    count_syscalls,
+    current_io_context,
+    preadv_full,
+    pwritev_full,
+    read_descriptor,
+    syscall_tape,
+    write_descriptor,
+)
 from repro.io.buffers import DIRECT_ALIGNMENT, CopyCounter
 from repro.io.errors import IntegrityError
-from repro.io.uring import IOContext, current_io_context, preadv_full, pwritev_full
 
 #: Checksum-frame header: magic, payload length (LE u64), crc32 (LE u32).
 FRAME_MAGIC = b"RPRO"
@@ -88,10 +89,9 @@ def contiguous_view(data: np.ndarray) -> Tuple[np.ndarray, bool]:
 def parse_frame_header(header: bytes, label: str) -> Tuple[int, int]:
     """Validate a frame header prefix; returns ``(payload_len, crc32)``.
 
-    The single source of truth for the fixed 16-byte header — both the
-    whole-file :func:`unframe_payload` and the streaming ``readinto``
-    reader validate through it, so a frame-format change has one site.
-    Raises :class:`IntegrityError` on a short header or bad magic.
+    The single source of truth for the fixed 16-byte header, so a
+    frame-format change has one site.  Raises :class:`IntegrityError` on
+    a short header or bad magic.
     """
     if len(header) < FRAME_HEADER_BYTES:
         raise IntegrityError(
@@ -103,22 +103,6 @@ def parse_frame_header(header: bytes, label: str) -> Tuple[int, int]:
     return length, crc
 
 
-def unframe_payload(raw: bytes, label: str) -> bytes:
-    """Verify and strip the checksum frame; raises :class:`IntegrityError`.
-
-    ``label`` names the tensor/file for the error message.
-    """
-    length, crc = parse_frame_header(raw, label)
-    payload = raw[FRAME_HEADER_BYTES:]
-    if len(payload) != length:
-        raise IntegrityError(
-            f"torn write: {label} frames {length} payload bytes, found {len(payload)}"
-        )
-    if zlib.crc32(payload) != crc:
-        raise IntegrityError(f"checksum mismatch for {label}: bit-rot or torn write")
-    return payload
-
-
 class TensorFileStore:
     """Stores numpy arrays as raw files, one per tensor id.
 
@@ -127,10 +111,6 @@ class TensorFileStore:
         throttle_bytes_per_s: if set, sleep so that transfers do not exceed
             this bandwidth — used to emulate slow SSDs in tests.
         array: optional SSD/RAID0 model charged with the traffic.
-        legacy_copies: restore the pre-streaming copy map (``tobytes()``
-            + frame concat on write, whole-file slurp + ``frombuffer``
-            copy on read) — the A/B baseline for ``bench_dataplane.py``
-            and the byte-equivalence tests.
     """
 
     def __init__(
@@ -138,7 +118,6 @@ class TensorFileStore:
         root: Union[str, Path],
         throttle_bytes_per_s: Optional[float] = None,
         array: Optional[Union[SSD, RAID0Array]] = None,
-        legacy_copies: bool = False,
     ) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
@@ -146,10 +125,9 @@ class TensorFileStore:
             raise ValueError(f"throttle must be positive: {throttle_bytes_per_s}")
         self.throttle_bytes_per_s = throttle_bytes_per_s
         self.array = array
-        self.legacy_copies = legacy_copies
         self.copy_stats = CopyCounter()
-        #: The FD table of the last batched backend that drove this
-        #: store (self-attached by the vectored paths) — ``delete``/
+        #: The FD table of the last lane backend that drove this store
+        #: (self-attached by ``write``/``read``) — ``delete``/
         #: ``clear`` invalidate its cached descriptors so a reopened
         #: path never resurrects stale bytes.
         self.fd_table = None
@@ -184,13 +162,13 @@ class TensorFileStore:
 
     @property
     def write_syscalls(self) -> int:
-        """Kernel round-trips spent writing (open/write/close/ftruncate)."""
+        """Kernel round-trips spent writing (open/pwritev/close/ftruncate)."""
         with self._lock:
             return self._write_syscalls
 
     @property
     def read_syscalls(self) -> int:
-        """Kernel round-trips spent reading (open/read/fstat/close)."""
+        """Kernel round-trips spent reading (open/preadv/close)."""
         with self._lock:
             return self._read_syscalls
 
@@ -218,10 +196,17 @@ class TensorFileStore:
     def write(self, tensor_id: str, data: np.ndarray) -> Path:
         """Persist ``data``; returns the file path.
 
-        Streaming path: header and payload land as two writes, the crc32
-        is computed over the tensor's contiguous view, and no
-        intermediate ``bytes`` object is ever built.  The resulting file
-        is bit-identical to ``frame_payload(data.tobytes())``.
+        One ``pwritev`` carries the 16-byte header and the tensor's
+        contiguous view (crc32 computed over the same view; no
+        ``tobytes()`` temporary, no header+payload concatenation), so
+        the file is bit-identical to ``frame_payload(data.tobytes())``.
+        The descriptor comes from the lane's FD table under an
+        :class:`~repro.io.aio.IOContext` (a reused one is
+        ``ftruncate``\\ d so no stale tail survives), else from a
+        transient open.  A GDS-sim context routes by registration:
+        registered source arrays go straight to disk (the direct lane),
+        unregistered ones are staged through a host bounce lease first;
+        an ``O_DIRECT`` descriptor takes the aligned staged write.
 
         Contract: ``data`` must not mutate during the call.  The zero-copy
         path reads the source twice (crc pass, write pass) — a concurrent
@@ -237,141 +222,12 @@ class TensorFileStore:
         if copied:
             self.copy_stats.count_copy(nbytes)
         ctx = current_io_context()
-        if self.legacy_copies:
-            # Legacy copy map: tobytes() temporary + header concat.
-            with open(path, "wb") as f:
-                f.write(frame_payload(contiguous.tobytes()))
-            self.copy_stats.count_copy(nbytes, copies=2)
-            syscalls = 3  # open + write + close
-            count_syscalls(syscalls)
-        elif ctx is not None:
-            syscalls = self._write_vectored(path, data, contiguous, nbytes, ctx)
-            self.copy_stats.count_avoided(2)  # tobytes() + frame concat
-        else:
-            view = memoryview(contiguous.reshape(-1)).cast("B")
-            with open(path, "wb") as f:
-                f.write(_FRAME_HEADER.pack(FRAME_MAGIC, nbytes, zlib.crc32(view)))
-                f.write(view)
-            self.copy_stats.count_avoided(2)  # tobytes() + frame concat
-            syscalls = 4  # open + header write + payload write + close
-            count_syscalls(syscalls)
-        self._throttle(nbytes, start)
-        with self._lock:
-            self._bytes_written += nbytes
-            self._write_count += 1
-            self._write_syscalls += syscalls
-        if self.array is not None:
-            self.array.record_write(nbytes)
-        return path
-
-    def read(self, tensor_id: str, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-        """Read a tensor back as a fresh array of ``shape``/``dtype``.
-
-        Streaming path: the header is read and validated first (magic,
-        framed length against both the expected tensor size and the
-        on-disk file size — a torn write is rejected *before* any
-        payload bytes are slurped), then the payload is ``readinto`` the
-        destination array directly: one disk-to-array transfer, and the
-        only allocation is the returned array itself — the ownership
-        copy the GPU-reinstate boundary demands.
-        """
-        start = time.monotonic()
-        path = self.path_for(tensor_id)
-        ctx = current_io_context()
-        if ctx is not None and not self.legacy_copies:
-            # Batched backend: missing-file detection rides the open
-            # (no separate exists() stat).
-            data, syscalls = self._read_vectored(tensor_id, path, shape, dtype, ctx)
-            self.copy_stats.count_copy(data.nbytes)
-            self.copy_stats.count_avoided(1)  # the whole-file bytes slurp
-            self._throttle(data.nbytes, start)
-            with self._lock:
-                self._bytes_read += data.nbytes
-                self._read_count += 1
-                self._read_syscalls += syscalls
-            if self.array is not None:
-                self.array.record_read(data.nbytes)
-            return data
-        if not path.exists():
-            raise FileNotFoundError(f"no offloaded tensor at {path}")
-        label = f"tensor {tensor_id!r} at {path}"
-        if self.legacy_copies:
-            payload = unframe_payload(path.read_bytes(), label)
-            data = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
-            self.copy_stats.count_copy(data.nbytes, copies=2)
-            syscalls = 3  # open + read + close (the whole-file slurp)
-        else:
-            dtype = np.dtype(dtype)
-            numel = int(np.prod(shape, dtype=np.int64))
-            expected = numel * dtype.itemsize
-            flat = np.empty(numel, dtype)
-            with open(path, "rb") as f:
-                length, crc = parse_frame_header(f.read(FRAME_HEADER_BYTES), label)
-                file_size = os.fstat(f.fileno()).st_size
-                if file_size != FRAME_HEADER_BYTES + length:
-                    # Header and file disagree: corruption — retryable.
-                    raise IntegrityError(
-                        f"torn write: {label} frames {length} payload bytes, "
-                        f"found {max(0, file_size - FRAME_HEADER_BYTES)}"
-                    )
-                if length != expected:
-                    # Header and file agree with each other but not with
-                    # the caller: a deterministic shape/dtype bug, not
-                    # corruption — fail fast (ValueError is
-                    # non-retryable), matching the legacy frombuffer/
-                    # reshape behaviour.
-                    raise ValueError(
-                        f"{label} holds {length} payload bytes, "
-                        f"caller expected {expected}"
-                    )
-                view = memoryview(flat)
-                got = f.readinto(view)
-                if got != length:
-                    raise IntegrityError(
-                        f"torn write: {label} frames {length} payload bytes, read {got}"
-                    )
-                if zlib.crc32(view) != crc:
-                    raise IntegrityError(
-                        f"checksum mismatch for {label}: bit-rot or torn write"
-                    )
-            data = flat.reshape(shape)
-            self.copy_stats.count_copy(data.nbytes)
-            self.copy_stats.count_avoided(1)  # the whole-file bytes slurp
-            syscalls = 5  # open + header read + fstat + readinto + close
-        count_syscalls(syscalls)
-        self._throttle(data.nbytes, start)
-        with self._lock:
-            self._bytes_read += data.nbytes
-            self._read_count += 1
-            self._read_syscalls += syscalls
-        if self.array is not None:
-            self.array.record_read(data.nbytes)
-        return data
-
-    # ------------------------------------------------------- vectored paths
-    def _write_vectored(
-        self,
-        path: Path,
-        source: np.ndarray,
-        contiguous: np.ndarray,
-        nbytes: int,
-        ctx: IOContext,
-    ) -> int:
-        """Batched-backend write over a pre-opened descriptor.
-
-        One ``pwritev`` carries header + payload (bit-identical to the
-        streaming frame); a reused descriptor is ``ftruncate``\\ d so no
-        stale tail survives.  A GDS-sim context routes by registration:
-        registered source arrays go straight to disk (the direct lane),
-        unregistered ones are staged through a host bounce lease first.
-        Returns the syscalls issued.
-        """
-        if self.fd_table is not ctx.fds:
+        if ctx is not None:
             self.fd_table = ctx.fds
         payload = memoryview(contiguous.reshape(-1)).cast("B")
         lease = None
-        if ctx.gds is not None:
-            if ctx.gds.is_array_registered(source):
+        if ctx is not None and ctx.gds is not None:
+            if ctx.gds.is_array_registered(data):
                 ctx.note_bounce(skipped=True)
             elif ctx.arena is not None:
                 lease = ctx.arena.lease(nbytes)
@@ -382,13 +238,10 @@ class TensorFileStore:
                 payload = memoryview(staged)
         tape = syscall_tape()
         try:
-            with tape:
+            with tape, write_descriptor(str(path), ctx) as (fd, direct, cached):
                 header = _FRAME_HEADER.pack(FRAME_MAGIC, nbytes, zlib.crc32(payload))
                 total = FRAME_HEADER_BYTES + nbytes
-                fd, direct, cached, _ = ctx.fds.acquire_write(str(path))
-                if direct and self._pwrite_direct(fd, header, payload, total, ctx):
-                    pass
-                else:
+                if not (direct and self._pwrite_direct(fd, header, payload, total, ctx)):
                     if direct:
                         # O_DIRECT open succeeded but the write path
                         # refused (or no staging arena): demote this
@@ -404,7 +257,14 @@ class TensorFileStore:
         finally:
             if lease is not None:
                 lease.release()
-        return tape.count
+        self._throttle(nbytes, start)
+        with self._lock:
+            self._bytes_written += nbytes
+            self._write_count += 1
+            self._write_syscalls += tape.count
+        if self.array is not None:
+            self.array.record_write(nbytes)
+        return path
 
     def _pwrite_direct(
         self, fd: int, header: bytes, payload: memoryview, total: int, ctx: IOContext
@@ -448,24 +308,27 @@ class TensorFileStore:
         finally:
             lease.release()
 
-    def _read_vectored(
-        self,
-        tensor_id: str,
-        path: Path,
-        shape: Tuple[int, ...],
-        dtype: np.dtype,
-        ctx: IOContext,
-    ) -> Tuple[np.ndarray, int]:
-        """Batched-backend read: one ``preadv`` scatter fills the header,
-        the destination array, and a one-byte probe.
+    def read(self, tensor_id: str, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+        """Read a tensor back as a fresh array of ``shape``/``dtype``.
 
-        The probe replaces the classic path's ``fstat``: overshooting
-        into it means the file holds more than the frame claims, a
-        shortfall means a torn write — both rejected before the payload
-        is trusted, with the classic path's error taxonomy.  Returns
-        ``(data, syscalls)``.
+        One ``preadv`` scatter fills the header, the destination array
+        and a one-byte probe: one disk-to-array transfer, and the only
+        allocation is the returned array itself — the ownership copy the
+        GPU-reinstate boundary demands.  The descriptor is the lane's
+        cached one under an :class:`~repro.io.aio.IOContext`, else a
+        transient open.
+
+        Validation happens before the payload is trusted: overshooting
+        into the probe means the file holds more than the frame claims,
+        a shortfall means a torn write (both retryable
+        :class:`IntegrityError`), a frame that is whole but sized for a
+        different tensor is the caller's shape/dtype bug (non-retryable
+        ``ValueError``), and the crc32 catches bit-rot.
         """
-        if self.fd_table is not ctx.fds:
+        start = time.monotonic()
+        path = self.path_for(tensor_id)
+        ctx = current_io_context()
+        if ctx is not None:
             self.fd_table = ctx.fds
         dtype = np.dtype(dtype)
         numel = int(np.prod(shape, dtype=np.int64))
@@ -477,10 +340,10 @@ class TensorFileStore:
         tape = syscall_tape()
         with tape:
             try:
-                fd = ctx.fds.acquire_read(str(path))
+                with read_descriptor(str(path), ctx) as fd:
+                    got = preadv_full(fd, [header, memoryview(flat), probe])
             except FileNotFoundError:
                 raise FileNotFoundError(f"no offloaded tensor at {path}") from None
-            got = preadv_full(fd, [header, memoryview(flat), probe])
         length, crc = parse_frame_header(
             bytes(header[: min(got, FRAME_HEADER_BYTES)]), label
         )
@@ -496,7 +359,7 @@ class TensorFileStore:
         ):
             # Header and file agree with each other but not with the
             # caller: a deterministic shape/dtype bug — fail fast
-            # (ValueError is non-retryable), like the classic path.
+            # (ValueError is non-retryable).
             raise ValueError(
                 f"{label} holds {length} payload bytes, caller expected {expected}"
             )
@@ -507,7 +370,16 @@ class TensorFileStore:
             )
         if zlib.crc32(memoryview(flat)) != crc:
             raise IntegrityError(f"checksum mismatch for {label}: bit-rot or torn write")
-        return flat.reshape(shape), tape.count
+        data = flat.reshape(shape)
+        self.copy_stats.count_copy(data.nbytes)
+        self._throttle(data.nbytes, start)
+        with self._lock:
+            self._bytes_read += data.nbytes
+            self._read_count += 1
+            self._read_syscalls += tape.count
+        if self.array is not None:
+            self.array.record_read(data.nbytes)
+        return data
 
     def delete(self, tensor_id: str) -> None:
         """Best-effort removal of an offloaded tensor file."""

@@ -1,7 +1,7 @@
 """Priority-aware I/O scheduler: the successor of the two FIFO pools.
 
 The paper's tensor cache drives all traffic through two strictly FIFO
-worker pools (Sec. III-C2, :class:`~repro.io.aio.AsyncIOPool`).  Under
+worker pools (Sec. III-C2).  Under
 load that design inverts priorities: a backlog of low-urgency stores can
 starve the loads sitting on the backward critical path.  This module
 replaces the pools with one :class:`IOScheduler` that understands *what*
@@ -753,9 +753,9 @@ class IOScheduler:
         backend: the lane execution backend
             (:class:`~repro.io.aio.IOBackend`).  ``None`` installs the
             default :class:`~repro.io.aio.ThreadBackend` — blocking
-            per-request I/O on the dequeuing worker, byte-identical to
-            the pre-backend scheduler; :mod:`repro.io.uring` provides
-            the batched SQ/CQ and simulated-GDS backends.
+            per-request I/O completed on the dequeuing worker;
+            :mod:`repro.io.uring` provides the SQ/CQ (reaper-completed)
+            and simulated-GDS backends.
     """
 
     def __init__(
@@ -852,10 +852,9 @@ class IOScheduler:
         self._tenant_windows: Dict[Tuple[str, str, str], ChannelWindow] = {}
         self._tenant_usage: Dict[Tuple[str, str, str], List[float]] = {}
         self._listeners: List[Callable[[str, IORequest], None]] = []
-        #: How dequeued batches reach the kernel.  The default thread
-        #: backend reproduces the pre-backend worker loop operation for
-        #: operation; see :class:`~repro.io.aio.IOBackend` for the
-        #: contract a replacement must honour.
+        #: How dequeued batches reach the kernel; see
+        #: :class:`~repro.io.aio.IOBackend` for the contract a backend
+        #: must honour.
         self.backend = backend if backend is not None else ThreadBackend()
         self.backend.bind(self)
         self._lanes: Dict[str, _Lane] = {
@@ -1423,7 +1422,7 @@ class IOScheduler:
     @staticmethod
     def _force_terminal(request: IORequest) -> None:
         """Last-resort guarantee that a claimed request reaches a
-        terminal state.  ``execute()`` fails the job on any body
+        terminal state.  ``run_body()`` captures any body
         exception, but a *done callback* raising mid-dispatch can
         propagate out with the remaining callbacks unrun; re-finishing
         is not possible (the state is already terminal), so this only
@@ -1742,6 +1741,11 @@ class IOScheduler:
     #: Closeable-resource alias; service restarts lean on it being
     #: idempotent and actually joining every worker (no daemon leaks).
     close = shutdown
+
+    @property
+    def closed(self) -> bool:
+        """True once :meth:`shutdown` has begun."""
+        return self._shutdown.is_set()
 
     def __enter__(self) -> "IOScheduler":
         return self

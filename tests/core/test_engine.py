@@ -1,7 +1,5 @@
-"""Engine facade: typed config validation, shim equivalence, one stats
-snapshot, and the pool-deprecation regression."""
-
-import warnings
+"""Engine facade: typed config validation, the offloader each target
+builds, and one stats snapshot."""
 
 import numpy as np
 import pytest
@@ -11,7 +9,6 @@ from repro.core import (
     EngineConfigError,
     OffloadPolicy,
     build_engine,
-    make_offloader,
 )
 from repro.core.ids import TensorID
 from repro.core.offloader import CPUOffloader, SSDOffloader
@@ -47,52 +44,44 @@ def test_config_validation_is_typed(kwargs, message):
 
 
 def test_config_error_is_a_value_error():
-    # The historic make_offloader contract: callers catch ValueError.
+    # Callers may catch the typed error as a plain ValueError.
     assert issubclass(EngineConfigError, ValueError)
     with pytest.raises(ValueError, match="ssd target requires store_dir"):
-        make_offloader("ssd")
+        build_engine(EngineConfig(target="ssd"))
     with pytest.raises(ValueError, match="unknown offload target"):
-        make_offloader("dram")
+        build_engine(target="dram")
 
 
-# ---------------------------------------------------------- shim equivalence
-def test_make_offloader_matches_build_engine_ssd(tmp_path):
-    via_shim = make_offloader("ssd", store_dir=tmp_path / "a", chunk_bytes=4096)
-    via_engine = build_engine(
-        EngineConfig(target="ssd", store_dir=tmp_path / "b", chunk_bytes=4096)
+# ------------------------------------------------------- offloader per target
+def test_build_engine_builds_ssd_offloader(tmp_path):
+    off = build_engine(
+        EngineConfig(target="ssd", store_dir=tmp_path, chunk_bytes=4096)
     ).offloader
-    assert type(via_shim) is type(via_engine) is SSDOffloader
+    assert type(off) is SSDOffloader
     tid = TensorID(stamp=1, shape=tuple(DATA.shape))
-    via_shim.store(tid, DATA)
-    assert np.array_equal(via_shim.load(tid, DATA.shape, DATA.dtype), DATA)
+    off.store(tid, DATA)
+    assert np.array_equal(off.load(tid, DATA.shape, DATA.dtype), DATA)
 
 
-def test_make_offloader_matches_build_engine_cpu():
-    via_shim = make_offloader("cpu", cpu_pool_bytes=1 << 20)
-    via_engine = build_engine(
-        EngineConfig(target="cpu", cpu_pool_bytes=1 << 20)
-    ).offloader
-    assert type(via_shim) is type(via_engine) is CPUOffloader
-    assert via_shim.pool.capacity_bytes == via_engine.pool.capacity_bytes
+def test_build_engine_builds_cpu_offloader():
+    off = build_engine(EngineConfig(target="cpu", cpu_pool_bytes=1 << 20)).offloader
+    assert type(off) is CPUOffloader
+    assert off.pool.capacity_bytes == 1 << 20
 
 
-def test_make_offloader_matches_build_engine_tiered(tmp_path):
+def test_build_engine_builds_tiered_offloader(tmp_path):
     policy = OffloadPolicy()
-    via_shim = make_offloader(
-        "tiered", store_dir=tmp_path / "a", cpu_pool_bytes=1 << 16, policy=policy
-    )
-    via_engine = build_engine(
+    off = build_engine(
         EngineConfig(
             target="tiered",
-            store_dir=tmp_path / "b",
+            store_dir=tmp_path,
             cpu_pool_bytes=1 << 16,
             policy=policy,
         )
     ).offloader
-    assert type(via_shim) is type(via_engine) is TieredOffloader
-    # The shared policy is wired through both construction paths.
-    assert via_shim.policy is policy
-    assert via_engine.policy is policy
+    assert type(off) is TieredOffloader
+    # The shared policy is wired through to the tier placement.
+    assert off.policy is policy
 
 
 # ------------------------------------------------------------------ wiring
@@ -194,21 +183,5 @@ def test_stats_never_steals_the_controller_feed(tmp_path):
         engine.scheduler.drain()
         engine.stats()  # peek — must leave the destructive feed intact
         del cache
-    finally:
-        engine.shutdown()
-
-
-# -------------------------------------------------------------- deprecation
-def test_store_pool_and_load_pool_deprecated(tmp_path):
-    engine = build_engine(EngineConfig(target="ssd", store_dir=tmp_path))
-    cache = engine.cache()
-    try:
-        with pytest.warns(DeprecationWarning, match="store_pool is deprecated"):
-            assert cache.store_pool is cache.scheduler
-        with pytest.warns(DeprecationWarning, match="load_pool is deprecated"):
-            assert cache.load_pool is cache.scheduler
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cache.scheduler  # the replacement accessor stays silent
     finally:
         engine.shutdown()

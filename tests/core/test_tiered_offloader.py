@@ -3,8 +3,8 @@
 Covers the offloader-level mechanics (placement, demotion on pool
 exhaustion, promotion on load, refcounted chunk reclaim), the policy's
 tier-placement rule, the cache integration (per-record tier, forwarding
-across tiers, end-to-end training equivalence), the ``make_offloader``
-config factory, and the chunk-coalescing write-count win.
+across tiers, end-to-end training equivalence), the offloader each
+``build_engine`` target builds, and the chunk-coalescing write-count win.
 """
 
 import numpy as np
@@ -18,13 +18,18 @@ from repro.core import (
     TensorCache,
     Tier,
     TieredOffloader,
-    make_offloader,
 )
+from repro.core.engine import EngineConfig, build_engine
 from repro.core.ids import TensorID
 
 from tests.core.test_tensor_cache import _fresh_model, _run_model_step
 
 DATA = np.arange(256, dtype=np.float32)  # 1 KiB
+
+
+def _offloader(target: str, **config):
+    """The synchronous offloader of a ``target`` engine."""
+    return build_engine(EngineConfig(target=target, **config)).offloader
 
 
 def _tid(i: int) -> TensorID:
@@ -162,7 +167,7 @@ def test_tiered_honours_shared_policy(tmp_path):
     policy = OffloadPolicy(
         PolicyConfig(cpu_tier_max_tensor_bytes=DATA.nbytes - 1)
     )
-    off = make_offloader(
+    off = _offloader(
         "tiered", store_dir=tmp_path, cpu_pool_bytes=8 * DATA.nbytes, policy=policy
     )
     try:
@@ -182,30 +187,30 @@ def test_location_names_the_tier(tiered):
 
 
 # -------------------------------------------------------------------- factory
-def test_make_offloader_targets(tmp_path):
-    assert isinstance(make_offloader("ssd", store_dir=tmp_path / "s"), SSDOffloader)
-    cpu = make_offloader("cpu", cpu_pool_bytes=1024)
+def test_build_engine_targets(tmp_path):
+    assert isinstance(_offloader("ssd", store_dir=tmp_path / "s"), SSDOffloader)
+    cpu = _offloader("cpu", cpu_pool_bytes=1024)
     assert isinstance(cpu, CPUOffloader)
     assert cpu.pool.capacity_bytes == 1024
-    tiered = make_offloader(
+    tiered = _offloader(
         "tiered", store_dir=tmp_path / "t", cpu_pool_bytes=2048, chunk_bytes=512
     )
     assert isinstance(tiered, TieredOffloader)
     tiered.shutdown()
 
 
-def test_make_offloader_validation(tmp_path):
+def test_build_engine_validation(tmp_path):
     with pytest.raises(ValueError):
-        make_offloader("ssd")
+        _offloader("ssd")
     with pytest.raises(ValueError):
-        make_offloader("tiered", store_dir=tmp_path)  # needs a pool bound
+        _offloader("tiered", store_dir=tmp_path)  # needs a pool bound
     with pytest.raises(ValueError):
-        make_offloader("tape", store_dir=tmp_path)
+        _offloader("tape", store_dir=tmp_path)
     # Knobs that would be silently inert for the target are rejected.
     with pytest.raises(ValueError):
-        make_offloader("cpu", chunk_bytes=4096)
+        _offloader("cpu", chunk_bytes=4096)
     with pytest.raises(ValueError):
-        make_offloader("ssd", store_dir=tmp_path, cpu_pool_bytes=4096)
+        _offloader("ssd", store_dir=tmp_path, cpu_pool_bytes=4096)
 
 
 # ---------------------------------------------------------- cache integration

@@ -12,7 +12,7 @@ import pytest
 
 from repro.io.chunkstore import ChunkedTensorStore
 from repro.io.manifest import frame_record, read_journal
-from repro.io.uring import FDTable, IOContext, io_context
+from repro.io.aio import FDTable, IOContext, io_context
 
 CHUNK = 4096
 ELEMS = 256  # 1 KiB float32 => 4 tensors per chunk

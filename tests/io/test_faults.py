@@ -4,7 +4,6 @@ retry-with-backoff, the scheduler's FAILED accounting + worker
 survival, and the per-lane health tracker."""
 
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from repro.io import (
     Priority,
     TensorFileStore,
 )
-from repro.io.aio import AsyncIOPool, IOJob, JobState
+from repro.io.aio import IOJob, JobState
 from repro.io.errors import (
     IntegrityError,
     PermanentIOError,
@@ -26,7 +25,7 @@ from repro.io.errors import (
     retry_call,
 )
 from repro.io.faults import FaultInjector, FaultPlan, inject_faults
-from repro.io.filestore import FRAME_HEADER_BYTES, frame_payload, unframe_payload
+from repro.io.filestore import FRAME_HEADER_BYTES, frame_payload
 
 
 def _req(fn, kind="store", priority=Priority.STORE, nbytes=0, tid="t", lane="ssd", **kw):
@@ -83,22 +82,31 @@ def test_retry_call_exhausts_budget():
 
 
 # ------------------------------------------------------------ checksum frames
-def test_frame_roundtrip_and_corruption():
-    payload = b"hello tensor bytes"
-    framed = frame_payload(payload)
-    assert len(framed) == FRAME_HEADER_BYTES + len(payload)
-    assert unframe_payload(framed, "t") == payload
-    with pytest.raises(IntegrityError):  # torn: shorter than the header
-        unframe_payload(framed[:8], "t")
-    with pytest.raises(IntegrityError):  # torn: payload truncated
-        unframe_payload(framed[:-4], "t")
+def test_frame_roundtrip_and_corruption(tmp_path):
+    """A file framed by ``frame_payload`` reads back through the store's
+    one read body; every corruption of it is an IntegrityError."""
+    payload = np.arange(8, dtype=np.float32)
+    framed = frame_payload(payload.tobytes())
+    assert len(framed) == FRAME_HEADER_BYTES + payload.nbytes
+    store = TensorFileStore(tmp_path)
+    path = store.path_for("t")
+
+    def read(raw: bytes):
+        path.write_bytes(raw)
+        return store.read("t", payload.shape, payload.dtype)
+
+    assert np.array_equal(read(framed), payload)
     flipped = bytearray(framed)
     flipped[-1] ^= 0xFF
-    with pytest.raises(IntegrityError):  # bit-rot: crc mismatch
-        unframe_payload(bytes(flipped), "t")
-    bad_magic = b"XXXX" + framed[4:]
-    with pytest.raises(IntegrityError):
-        unframe_payload(bad_magic, "t")
+    corrupt = [
+        framed[:8],  # torn: shorter than the header
+        framed[:-4],  # torn: payload truncated
+        bytes(flipped),  # bit-rot: crc mismatch
+        b"XXXX" + framed[4:],  # bad magic
+    ]
+    for raw in corrupt:
+        with pytest.raises(IntegrityError):
+            read(raw)
 
 
 def test_filestore_detects_bit_rot_and_torn_writes(tmp_path):
@@ -309,20 +317,20 @@ def test_iojob_default_budget_is_zero():
 
 
 def test_pool_jobs_keep_one_shot_semantics():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pool = AsyncIOPool(1)
+    """A request that opts out of the scheduler's retry budget
+    (``max_retries=0``) runs its body exactly once, like a plain job."""
+    sched = IOScheduler(num_store_workers=1, num_load_workers=1)
     calls = []
 
     def flaky():
         calls.append(1)
         raise TransientIOError("blip")
 
-    job = pool.submit(flaky)
+    job = sched.submit(_req(flaky, max_retries=0))
     assert job.wait(5)
     assert job.state is JobState.FAILED
     assert len(calls) == 1
-    pool.shutdown()
+    sched.shutdown()
 
 
 # --------------------------------------------------------- scheduler failures

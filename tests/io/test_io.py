@@ -2,7 +2,6 @@
 
 import threading
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -10,34 +9,37 @@ import pytest
 from repro.device.pcie import GPU_LINK_GEN4_X16
 from repro.device.ssd import INTEL_OPTANE_P5800X_1600GB, RAID0Array
 from repro.io import (
-    AsyncIOPool,
     BounceBufferPath,
     ChunkedTensorStore,
     DirectGDSPath,
     GDSRegistry,
     TensorFileStore,
 )
-from repro.io.aio import JobState
+from repro.io.aio import IOJob, JobState
+from repro.io.scheduler import (
+    DEFAULT_COALESCE_BYTES,
+    IORequest,
+    IOScheduler,
+    Priority,
+)
 from repro.tensor.tensor import Tensor
 
 
-# ------------------------------------------------------------------ AsyncIOPool
-def _pool(num_workers: int) -> AsyncIOPool:
-    """Build the deprecated FIFO pool without tripping its warning."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return AsyncIOPool(num_workers)
+# ------------------------------------------------------------- the FIFO pools
+# The paper's two FIFO pools (Sec. III-C2) are the scheduler's lanes run
+# with ``fifo=True``; these tests hold the scheduler and its IOJob units
+# to the pool semantics the tensor cache relies on.
+def _pool() -> IOScheduler:
+    return IOScheduler(num_store_workers=1, num_load_workers=1, fifo=True)
 
 
-def test_pool_construction_warns_deprecated():
-    with pytest.warns(DeprecationWarning, match="IOScheduler"):
-        pool = AsyncIOPool(1)
-    pool.shutdown()
+def _job(fn, nbytes: int = 0) -> IORequest:
+    return IORequest(fn, kind="store", priority=Priority.STORE, nbytes=nbytes)
 
 
 def test_pool_executes_jobs():
-    pool = _pool(1)
-    job = pool.submit(lambda: 42)
+    pool = _pool()
+    job = pool.submit(_job(lambda: 42))
     assert job.wait(5)
     assert job.result == 42
     assert job.state is JobState.DONE
@@ -45,79 +47,94 @@ def test_pool_executes_jobs():
 
 
 def test_pool_fifo_order_single_worker():
-    pool = _pool(1)
+    pool = _pool()
+    started = threading.Semaphore(0)
+    release = threading.Event()
+
+    def hold():
+        started.release()
+        release.wait()
+
+    for _ in range(2):  # park both of the lane's workers (too big to coalesce)
+        pool.submit(_job(hold, nbytes=DEFAULT_COALESCE_BYTES))
+    for _ in range(2):
+        assert started.acquire(timeout=5)
     order = []
     for i in range(20):
-        pool.submit(lambda i=i: order.append(i))
-    pool.drain(5)
+        pool.submit(_job(lambda i=i: order.append(i)))
+    release.set()
+    # The first free worker takes the whole queued run as one coalesced
+    # batch and executes it in submission order.
+    assert pool.drain(5)
     assert order == list(range(20))
     pool.shutdown()
 
 
 def test_pool_error_captured_not_raised():
-    pool = _pool(1)
-
     def boom():
         raise ValueError("io error")
 
-    job = pool.submit(boom)
-    job.wait(5)
+    job = IOJob(boom)
+    job.run()  # the body's error is captured on the job, never raised
     assert job.state is JobState.FAILED
     assert isinstance(job.error, ValueError)
-    pool.shutdown()
 
 
 def test_pool_done_callback_fires():
-    pool = _pool(1)
+    pool = _pool()
     fired = threading.Event()
-    job = pool.submit(lambda: 1)
+    job = pool.submit(_job(lambda: 1))
     job.add_done_callback(lambda j: fired.set())
     assert fired.wait(5)
     pool.shutdown()
 
 
 def test_pool_done_callback_after_completion_runs_immediately():
-    pool = _pool(1)
-    job = pool.submit(lambda: 1)
-    job.wait(5)
+    job = IOJob(lambda: 1)
+    job.run()
     fired = []
-    job.add_done_callback(lambda j: fired.append(1))
-    assert fired == [1]
-    pool.shutdown()
+    job.add_done_callback(lambda j: fired.append(j.state))
+    assert fired == [JobState.DONE]
 
 
 def test_pool_drops_closure_after_run():
     """The job must not pin the stored tensor after completion (GPU memory
     is reclaimed by refcount once the store finishes)."""
-    pool = _pool(1)
-    job = pool.submit(lambda: None)
-    job.wait(5)
+    job = IOJob(lambda: None)
+    job.run()
     assert job.fn is None
+    pool = _pool()
+    request = pool.submit(_job(lambda: None))
+    assert request.wait(5)
     pool.shutdown()
+    assert request.fn is None
 
 
 def test_pool_pending_and_drain():
-    pool = _pool(1)
+    pool = _pool()
     release = threading.Event()
-    pool.submit(release.wait)
-    pool.submit(lambda: 1)
-    assert pool.pending == 2
+    pool.submit(_job(release.wait))
+    pool.submit(_job(lambda: 1))
+    assert pool.pending() == 2
     release.set()
     assert pool.drain(5)
-    assert pool.pending == 0
+    assert pool.pending() == 0
     pool.shutdown()
 
 
 def test_pool_shutdown_rejects_new_work():
-    pool = _pool(1)
+    pool = _pool()
     pool.shutdown()
+    assert pool.closed
     with pytest.raises(RuntimeError):
-        pool.submit(lambda: 1)
+        pool.submit(_job(lambda: 1))
 
 
 def test_pool_validation():
     with pytest.raises(ValueError):
-        AsyncIOPool(0)
+        IOScheduler(num_store_workers=0)
+    with pytest.raises(ValueError):
+        IOScheduler(num_load_workers=0)
 
 
 # --------------------------------------------------------------- TensorFileStore

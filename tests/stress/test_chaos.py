@@ -22,7 +22,13 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import OffloadPolicy, PolicyConfig, TensorCache, make_offloader
+from repro.core import (
+    EngineConfig,
+    OffloadPolicy,
+    PolicyConfig,
+    TensorCache,
+    build_engine,
+)
 from repro.data import SyntheticCorpus, TokenBatchLoader
 from repro.device import GPU
 from repro.io import IORequest, IOScheduler, Priority
@@ -67,13 +73,15 @@ def _train(
     model = GPT(CONFIG, rng=np.random.default_rng(0)).to(gpu)
     policy = OffloadPolicy(PolicyConfig(min_offload_numel=256))
     cache = TensorCache(
-        make_offloader(
-            target,
-            store_dir=tmp_path / name,
-            cpu_pool_bytes=cpu_pool_bytes,
-            chunk_bytes=chunk_bytes,
-            policy=policy,
-        ),
+        build_engine(
+            EngineConfig(
+                target=target,
+                store_dir=tmp_path / name,
+                cpu_pool_bytes=cpu_pool_bytes,
+                chunk_bytes=chunk_bytes,
+                policy=policy,
+            )
+        ).offloader,
         policy=policy,
     )
     injector = inject_faults(cache.offloader, plan) if plan is not None else None
@@ -311,12 +319,14 @@ def _train_pair(tmp_path, name, plan_for_a=None, kill_before_step=None):
         model = GPT(CONFIG, rng=np.random.default_rng(0)).to(gpu)
         policy = OffloadPolicy(PolicyConfig(min_offload_numel=256))
         cache = TensorCache(
-            make_offloader(
-                "tiered",
-                store_dir=tmp_path / name / tenant,
-                cpu_pool_bytes=64 << 10,
-                policy=policy,
-            ),
+            build_engine(
+                EngineConfig(
+                    target="tiered",
+                    store_dir=tmp_path / name / tenant,
+                    cpu_pool_bytes=64 << 10,
+                    policy=policy,
+                )
+            ).offloader,
             policy=policy,
             scheduler=scheduler,
         )

@@ -204,18 +204,18 @@ def test_backends_agree_bit_exact(tmp_path):
 
 # ------------------------------------------------------- ENOSPC survival
 def test_enospc_degrades_to_cpu_without_tripping_breaker(tmp_path):
-    from repro.core import make_offloader
-
     policy = OffloadPolicy(PolicyConfig(min_offload_numel=256))
     # Standalone (scheduler-less) tiered offloader with a pool that only
     # holds two tensors: the third store demotes a victim to the SSD,
     # driving writes into the injector's ENOSPC budget.
-    offloader = make_offloader(
-        "tiered",
-        store_dir=tmp_path / "enospc",
-        cpu_pool_bytes=8 << 10,
-        policy=policy,
-    )
+    offloader = build_engine(
+        EngineConfig(
+            target="tiered",
+            store_dir=tmp_path / "enospc",
+            cpu_pool_bytes=8 << 10,
+            policy=policy,
+        )
+    ).offloader
     from repro.core import TensorID
 
     injector = inject_faults(offloader, FaultPlan.enospc(after_bytes=4 << 10))
