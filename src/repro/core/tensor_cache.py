@@ -111,6 +111,8 @@ class MicrobatchRecords:
 
     records: Dict[TensorID, ActivationRecord] = field(default_factory=dict)
     pack_order: List[TensorID] = field(default_factory=list)
+    #: Each record's index in ``pack_order`` (filled at pack time).
+    pack_position: Dict[TensorID, int] = field(default_factory=dict)
     tids_by_scope: Dict[int, List[TensorID]] = field(default_factory=dict)
     backward_cursor: int = 0
 
@@ -133,6 +135,10 @@ class CacheStats:
     #: Seconds backward spent blocked in unpack waiting for a load — the
     #: engine's observed I/O stall (the adaptive controller's trim signal).
     unpack_wait_s: float = 0.0
+    #: Times forward blocked in pack on a full store window, and the
+    #: seconds it spent there (see ``TensorCache._wait_for_store_slot``).
+    store_waits: int = 0
+    store_wait_s: float = 0.0
     #: Stores cancelled while still queued because forwarding consumed the
     #: tensor first (``stored_*`` count submissions; subtract these for
     #: the traffic that actually hit the backend).
@@ -233,6 +239,14 @@ class TensorCache:
             )
         )
         self.prefetch_window = prefetch_window
+        #: Store window: pack returns once fewer than this many of this
+        #: cache's stores on the lane are admitted and not yet terminal.
+        #: One per lane worker (see ``_wait_for_store_slot``).
+        self.store_window = self.scheduler.workers_per_lane
+        #: This cache's submitted, not yet terminal store requests per
+        #: lane; guarded by ``_store_slots``.
+        self._stores_in_flight: Dict[str, set] = {}
+        self._store_slots = threading.Condition()
         #: The :class:`~repro.core.engine.Engine` that built this cache,
         #: if any (set by :meth:`~repro.core.engine.Engine.cache`); the
         #: reference keeps the engine alive as long as the cache.
@@ -246,7 +260,8 @@ class TensorCache:
         self._lock = threading.Lock()
         # Guards the stored/kept counter pairs (stats + step accounting)
         # that are written from both the training thread (pack_hook) and
-        # scheduler workers (store-failure recovery reverses them).  The
+        # scheduler workers (store-failure recovery reverses them), and
+        # the load counters that concurrent lane workers book.  The
         # offload budget is decided off accounting.offloaded_bytes, so a
         # lost update is a policy error, not just a stats blemish.
         self._counter_lock = threading.Lock()
@@ -575,6 +590,7 @@ class TensorCache:
                 return tid
             rec = ActivationRecord(tid, t)
             table.records[tid] = rec
+            table.pack_position[tid] = len(table.pack_order)
             table.pack_order.append(tid)
             self._extend_scopes(table, rec, scope_ids)
 
@@ -607,6 +623,7 @@ class TensorCache:
         def do_store(tensor: Tensor = t, record: ActivationRecord = rec) -> None:
             self.offloader.store(record.tid, tensor.data)
 
+        lane = self.offloader.store_lane(tid, t.nbytes)
         job = self.scheduler.submit(
             IORequest(
                 do_store,
@@ -614,12 +631,54 @@ class TensorCache:
                 priority=Priority.STORE,
                 tensor_id=str(tid),
                 nbytes=t.nbytes,
-                lane=self.offloader.store_lane(tid, t.nbytes),
+                lane=lane,
             )
         )
         rec.store_job = job
+        with self._store_slots:
+            self._stores_in_flight.setdefault(lane, set()).add(job)
         job.add_done_callback(lambda j, record=rec: self._on_store_done(record, j))
+        # Registered second, so the slot frees only after _on_store_done
+        # dropped the record's reference to the stored tensor.
+        job.add_done_callback(self._release_store_slot)
+        self._wait_for_store_slot(lane)
         return tid
+
+    def _wait_for_store_slot(self, lane: str) -> None:
+        """The store window: after a submit, block forward while
+        ``store_window`` of this cache's stores on ``lane`` are admitted
+        and not yet terminal.
+
+        A queued store keeps its tensor resident, so when forward
+        produces activations faster than the device writes them the
+        backlog, not the policy, sets the activation peak.  While
+        forward waits every lane worker has a store to write; once it
+        resumes, the next store finds a free worker.  Requests parked by
+        a tenant quota do not count: they are not admitted, and nothing
+        may complete them while forward waits.  A closed scheduler ends
+        the wait.
+        """
+        with self._store_slots:
+            if self._admitted_stores(lane) < self.store_window:
+                return
+            self.stats.store_waits += 1
+            begin = time.monotonic()
+            while (
+                self._admitted_stores(lane) >= self.store_window
+                and not self.scheduler.closed
+            ):
+                self._store_slots.wait(0.1)  # shutdown does not notify
+            self.stats.store_wait_s += time.monotonic() - begin
+
+    def _admitted_stores(self, lane: str) -> int:
+        """Stores on ``lane`` that hold a window slot; caller holds
+        ``_store_slots``."""
+        return sum(1 for job in self._stores_in_flight.get(lane, ()) if not job.parked)
+
+    def _release_store_slot(self, job: IORequest) -> None:
+        with self._store_slots:
+            self._stores_in_flight[job.lane].discard(job)
+            self._store_slots.notify_all()
 
     def _extend_scopes(self, table: MicrobatchRecords, rec: ActivationRecord, scope_ids: List[int]) -> None:
         for sid in scope_ids:
@@ -731,9 +790,8 @@ class TensorCache:
 
     def _advance_cursor(self, tid: TensorID) -> None:
         table = self.current
-        try:
-            index = table.pack_order.index(tid)
-        except ValueError:
+        index = table.pack_position.get(tid)
+        if index is None:
             return
         if index < table.backward_cursor:
             table.backward_cursor = index
@@ -827,12 +885,15 @@ class TensorCache:
                 # (SSD -> CPU) as part of this load; re-read placement.
                 self._refresh_placement_locked(record)
                 record.loaded_event.set()
-            self.stats.loaded_tensors += 1
-            self.stats.loaded_bytes += record.nbytes
+            # Lane workers run loads concurrently: book under the lock.
+            with self._counter_lock:
+                self.stats.loaded_tensors += 1
+                self.stats.loaded_bytes += record.nbytes
 
         def on_done(job: IOJob, record: ActivationRecord = rec) -> None:
             if job.error is not None:
-                self.stats.load_failures += 1
+                with self._counter_lock:
+                    self.stats.load_failures += 1
                 with record.lock:
                     record.error = job.error
                     record.loaded_event.set()

@@ -212,6 +212,11 @@ class IORequest(IOJob):
         self.started_at: float = 0.0
         self.finished_at: float = 0.0
 
+    @property
+    def parked(self) -> bool:
+        """True while quota admission holds the request off every lane."""
+        return self._parked
+
     def detach_lease(self):
         """Atomically take ownership of the attached lease (or None)."""
         with self._lock:
@@ -861,10 +866,12 @@ class IOScheduler:
             lane: _Lane(lane, _FairQueue(self.tenants) if self.fair_share else None)
             for lane in lanes
         }
-        workers_per_lane = num_store_workers + num_load_workers
+        #: Worker threads per lane: how many requests one lane executes
+        #: at once (the tensor cache sizes its store window from it).
+        self.workers_per_lane = num_store_workers + num_load_workers
         self._workers: List[threading.Thread] = []
         for lane in self._lanes.values():
-            for i in range(workers_per_lane):
+            for i in range(self.workers_per_lane):
                 worker = threading.Thread(
                     target=self._worker_loop,
                     args=(lane,),

@@ -15,6 +15,7 @@ moot, Sec. IV-C).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional, Sequence, Tuple
 
@@ -142,7 +143,13 @@ class MatMul(Function):
     def backward(ctx: FunctionContext, grad: np.ndarray):
         a, b = ctx.saved_tensors
         ga = grad @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ grad
+        if a.ndim > 2 and b.ndim == 2:
+            # Batched activation times a weight: fold the batch dims into
+            # the rows, so the weight gradient is one GEMM (no per-batch
+            # products to sum afterwards).
+            gb = a.data.reshape(-1, a.shape[-1]).T @ grad.reshape(-1, grad.shape[-1])
+        else:
+            gb = np.swapaxes(a.data, -1, -2) @ grad
         return _unbroadcast(ga, ctx.a_shape), _unbroadcast(gb, ctx.b_shape)
 
     @staticmethod
@@ -261,25 +268,60 @@ class Mean(Function):
 # Activations
 # --------------------------------------------------------------------------
 class GELU(Function):
-    """tanh-approximation GELU (the variant used in GPT/Megatron MLPs)."""
+    """tanh-approximation GELU (the variant used in GPT/Megatron MLPs).
+
+    The bodies build their result in place over a few temporaries and
+    spell powers as products: ``x**3`` on float32 takes numpy's ``pow``
+    loop, about 41 ms against 0.5 ms for ``x * x * x`` on a 4x128x1024
+    array (numpy 2.4 on a 2-vCPU x86 VM).
+    """
 
     _C = math.sqrt(2.0 / math.pi)
+    _A = 0.044715
 
     @staticmethod
     def forward(ctx: FunctionContext, a: Tensor) -> np.ndarray:
         ctx.save_for_backward(a.detach())
         x = a.data
-        return 0.5 * x * (1.0 + np.tanh(GELU._C * (x + 0.044715 * x**3)))
+        # 0.5 * x * (1 + tanh(C * (x + A * x^3)))
+        out = x * x
+        out *= x
+        out *= GELU._A
+        out += x
+        out *= GELU._C
+        np.tanh(out, out=out)
+        out += 1.0
+        out *= x
+        out *= 0.5
+        return out
 
     @staticmethod
     def backward(ctx: FunctionContext, grad: np.ndarray):
         (a,) = ctx.saved_tensors
-        x = a.data.astype(np.float32)
-        inner = GELU._C * (x + 0.044715 * x**3)
-        t = np.tanh(inner)
-        d_inner = GELU._C * (1.0 + 3 * 0.044715 * x**2)
-        dgelu = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner
-        return (grad * dgelu).astype(grad.dtype)
+        x = np.asarray(a.data, dtype=np.float32)
+        x2 = x * x
+        # t = tanh(C * (x + A * x^3))
+        t = x2 * x
+        t *= GELU._A
+        t += x
+        t *= GELU._C
+        np.tanh(t, out=t)
+        # d_inner = C * (1 + 3A * x^2), in x2's buffer
+        x2 *= 3 * GELU._A
+        x2 += 1.0
+        x2 *= GELU._C
+        # dgelu = 0.5 * (1 + t) + 0.5 * x * (1 - t^2) * d_inner
+        slope = t * t
+        np.subtract(1.0, slope, out=slope)
+        slope *= x
+        slope *= x2
+        t += 1.0
+        t += slope
+        t *= 0.5
+        if np.result_type(t, grad) != t.dtype:
+            return grad * t  # wider gradient: keep its precision
+        t *= grad
+        return t.astype(grad.dtype, copy=False)
 
     @staticmethod
     def flops(a: Tensor) -> float:
@@ -481,6 +523,20 @@ class Dropout(Function):
 # --------------------------------------------------------------------------
 # Fused attention
 # --------------------------------------------------------------------------
+def _f32(x: np.ndarray) -> np.ndarray:
+    """``x`` as float32, copying only when it is another dtype."""
+    return np.asarray(x, dtype=np.float32)
+
+
+@functools.lru_cache(maxsize=32)
+def _causal_mask(s_q: int, s_k: int) -> np.ndarray:
+    """Read-only mask of the future keys each query must not see (the
+    query block is aligned to the end of the key block)."""
+    mask = np.triu(np.ones((s_q, s_k), dtype=bool), k=1 + (s_k - s_q))
+    mask.flags.writeable = False
+    return mask
+
+
 class FlashAttention(Function):
     """Fused scaled-dot-product attention saving only Q, K, V.
 
@@ -493,37 +549,42 @@ class FlashAttention(Function):
 
     @staticmethod
     def _probs(q: np.ndarray, k: np.ndarray, causal: bool, scale: float) -> np.ndarray:
-        scores = (q.astype(np.float32) @ np.swapaxes(k.astype(np.float32), -1, -2)) * scale
+        """Softmax of the scaled scores, built in the scores' buffer."""
+        p = _f32(q) @ np.swapaxes(_f32(k), -1, -2)
+        p *= scale
         if causal:
-            s_q, s_k = scores.shape[-2], scores.shape[-1]
-            mask = np.triu(np.ones((s_q, s_k), dtype=bool), k=1 + (s_k - s_q))
-            scores = np.where(mask, np.float32(-1e9), scores)
-        shifted = scores - scores.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=-1, keepdims=True)
+            np.copyto(p, np.float32(-1e9), where=_causal_mask(p.shape[-2], p.shape[-1]))
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        return p
 
     @staticmethod
     def forward(ctx: FunctionContext, q: Tensor, k: Tensor, v: Tensor, causal: bool, scale: float) -> np.ndarray:
         ctx.causal, ctx.scale = causal, scale
         ctx.save_for_backward(q.detach(), k.detach(), v.detach())
         p = FlashAttention._probs(q.data, k.data, causal, scale)
-        out = p @ v.data.astype(np.float32)
-        return out.astype(q.dtype)
+        out = p @ _f32(v.data)
+        return out.astype(q.dtype, copy=False)
 
     @staticmethod
     def backward(ctx: FunctionContext, grad: np.ndarray):
         q, k, v = ctx.saved_tensors
         p = FlashAttention._probs(q.data, k.data, ctx.causal, ctx.scale)
-        g = grad.astype(np.float32)
+        g = _f32(grad)
         dv = np.swapaxes(p, -1, -2) @ g
-        dp = g @ np.swapaxes(v.data.astype(np.float32), -1, -2)
-        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
-        dq = (ds @ k.data.astype(np.float32)) * ctx.scale
-        dk = (np.swapaxes(ds, -1, -2) @ q.data.astype(np.float32)) * ctx.scale
+        # ds = p * (dp - rowsum(dp * p)), in dp's buffer
+        ds = g @ np.swapaxes(_f32(v.data), -1, -2)
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        dq = ds @ _f32(k.data)
+        dq *= ctx.scale
+        dk = np.swapaxes(ds, -1, -2) @ _f32(q.data)
+        dk *= ctx.scale
         return (
-            dq.astype(q.dtype),
-            dk.astype(k.dtype),
-            dv.astype(v.dtype),
+            dq.astype(q.dtype, copy=False),
+            dk.astype(k.dtype, copy=False),
+            dv.astype(v.dtype, copy=False),
             None,
             None,
         )

@@ -86,26 +86,24 @@ def test_forwarding_cancels_pending_store(gpu, tmp_path):
     forwarding consumes the tensor — it must be cancelled and never
     reach the SSD."""
     offloader = SSDOffloader(tmp_path / "s")
-    gate, started = _gate_store(offloader)
-    # coalesce_bytes=0: with batching on, a worker may claim a queued
-    # store behind its gated batch head, making "which store is PENDING"
-    # nondeterministic — this test pins it down.
+    gate = threading.Event()
     cache = TensorCache(
         offloader,
         policy=_policy(),
-        scheduler=IOScheduler(
-            num_store_workers=1, num_load_workers=1, coalesce_bytes=0
-        ),
+        scheduler=IOScheduler(num_store_workers=1, num_load_workers=1),
     )
     try:
         with cache:
-            # Two stores occupy both SSD-lane workers (blocked on the
-            # gate); the third store is deterministically PENDING.
+            # The first two stores complete.  Then gated requests occupy
+            # both SSD-lane workers, so the third store is
+            # deterministically PENDING.  (The store window returns from
+            # pack with at most one of the cache's own stores outstanding
+            # on a two-worker lane, so the backlog cannot be its own.)
             t1, t2, t3 = (_tensor(gpu, seed=i) for i in range(3))
             tid1 = cache.pack_hook(t1)
             tid2 = cache.pack_hook(t2)
-            assert started.acquire(timeout=5)  # workers claim the
-            assert started.acquire(timeout=5)  # first two stores
+            assert cache.scheduler.drain(5)
+            _park_ssd_workers(cache.scheduler, gate)
             tid3 = cache.pack_hook(t3)
 
             out = cache.unpack_hook(tid3)  # forwarding hits a PENDING store
@@ -311,24 +309,22 @@ def test_full_pool_lets_queued_demotion_proceed(tmp_path):
 # -------------------------------------------------------------------- tracing
 def test_trace_shows_cancellation(gpu, tmp_path):
     offloader = SSDOffloader(tmp_path / "s")
-    gate, started = _gate_store(offloader)
-    # coalesce_bytes=0: with batching on, a worker may claim a queued
-    # store behind its gated batch head, making "which store is PENDING"
-    # nondeterministic — this test pins it down.
+    gate = threading.Event()
     cache = TensorCache(
         offloader,
         policy=_policy(),
-        scheduler=IOScheduler(
-            num_store_workers=1, num_load_workers=1, coalesce_bytes=0
-        ),
+        scheduler=IOScheduler(num_store_workers=1, num_load_workers=1),
     )
     tracer = attach_tracer(cache)
     try:
         with cache:
-            for i in range(3):
+            for i in range(2):
                 cache.pack_hook(_tensor(gpu, seed=i))
-            assert started.acquire(timeout=5)  # two stores claimed; the
-            assert started.acquire(timeout=5)  # third is left PENDING
+            assert cache.scheduler.drain(5)
+            # Gated requests occupy both workers: the third store is
+            # left PENDING (see test_forwarding_cancels_pending_store).
+            _park_ssd_workers(cache.scheduler, gate)
+            cache.pack_hook(_tensor(gpu, seed=2))
             tids = list(cache.current.records)
             cache.unpack_hook(tids[2])  # cancels the pending third store
             gate.set()

@@ -7,6 +7,9 @@ and failure injection.
 """
 
 import gc
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -374,3 +377,169 @@ def test_failed_store_recovery_reverses_offload_accounting(gpu, make_cache):
     assert cache.stats.kept_bytes == x.nbytes
     assert cache.accounting.offloaded_bytes == 0  # no budget consumed
     assert cache.accounting.kept_bytes == x.nbytes
+
+
+# ---------------------------------------------------------------- store window
+def _wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            raise AssertionError("condition not reached in time")
+        time.sleep(0.005)
+
+
+def _activations(gpu, n, shape=(64, 64)):
+    rng = np.random.default_rng(0)
+    return [Tensor(rng.standard_normal(shape).astype(np.float32), device=gpu) for _ in range(n)]
+
+
+def _gate_stores(offloader):
+    """Make every store wait for one ``release()`` of the returned gate."""
+    gate = threading.Semaphore(0)
+    store = offloader.store
+
+    def gated(tid, data):
+        gate.acquire()
+        store(tid, data)
+
+    offloader.store = gated
+    return gate
+
+
+def test_store_window_blocks_pack_until_a_store_completes(gpu, make_cache):
+    """One store per lane worker may be outstanding; the pack that fills
+    the window waits, and one completion lets forward go on."""
+    cache = make_cache(num_store_workers=1, num_load_workers=1)
+    assert cache.store_window == 2 == cache.scheduler.workers_per_lane
+    gate = _gate_stores(cache.offloader)
+    xs = _activations(gpu, 3)
+    packed = []
+    forward = threading.Thread(
+        target=lambda: packed.extend(cache.pack_hook(x) for x in xs), daemon=True
+    )
+    try:
+        forward.start()
+        _wait_until(lambda: cache.stats.store_waits == 1)
+        time.sleep(0.05)
+        assert forward.is_alive()  # the second pack holds at the window
+        gate.release()  # one store completes ...
+        _wait_until(lambda: cache.stats.store_waits == 2)  # ... the third waits
+        assert forward.is_alive()
+        gate.release()
+        forward.join(10)
+        assert not forward.is_alive()
+        assert len(packed) == 3
+        assert cache.stats.store_wait_s > 0
+    finally:
+        for _ in range(len(xs)):
+            gate.release()
+    assert cache.scheduler.drain(10)
+    assert cache.stats.stored_tensors == 3
+
+
+def test_store_window_survives_failing_stores(gpu, make_cache):
+    """Failed stores (the keep-resident recovery path) free their slots."""
+    from repro.io.faults import FaultPlan, inject_faults
+
+    cache = make_cache(num_store_workers=1, num_load_workers=1)
+    inject_faults(cache.offloader, FaultPlan.dead(after_ops=0))
+    xs = _activations(gpu, 6)
+    tids = []
+    forward = threading.Thread(
+        target=lambda: tids.extend(cache.pack_hook(x) for x in xs), daemon=True
+    )
+    forward.start()
+    forward.join(10)
+    assert not forward.is_alive()
+    assert cache.scheduler.drain(10)
+    assert cache.stats.store_failures == 6
+    assert all(cache.unpack_hook(tid) is x for tid, x in zip(tids, xs))  # kept resident
+
+
+def test_store_window_ignores_stores_parked_by_a_quota(gpu, tmp_path):
+    """Parked stores are not admitted and nothing completes them while
+    forward runs, so they must not hold window slots."""
+    from repro.io.scheduler import IOScheduler
+    from repro.io.tenancy import TenantRegistry
+
+    tenants = TenantRegistry()
+    tenants.register("default", byte_quota=0, over_quota="park")
+    scheduler = IOScheduler(num_store_workers=1, num_load_workers=1, tenants=tenants)
+    cache = TensorCache(
+        SSDOffloader(tmp_path / "parked"),
+        policy=OffloadPolicy(PolicyConfig(min_offload_numel=64)),
+        scheduler=scheduler,
+    )
+    xs = _activations(gpu, 5)
+    forward = threading.Thread(target=lambda: [cache.pack_hook(x) for x in xs], daemon=True)
+    try:
+        forward.start()
+        forward.join(10)
+        assert not forward.is_alive()
+        assert scheduler.parked() == 5
+        assert cache.stats.store_waits == 0
+    finally:
+        cache.shutdown()  # cancels the parked stores
+    assert scheduler.parked() == 0
+
+
+def test_pack_after_shutdown_raises_instead_of_waiting(gpu, make_cache):
+    cache = make_cache(num_store_workers=1, num_load_workers=1)
+    x, y = _activations(gpu, 2)
+    cache.pack_hook(x)
+    cache.shutdown()
+    with pytest.raises(RuntimeError, match="shut down"):
+        cache.pack_hook(y)
+    assert cache._stores_in_flight == {"ssd": set()}
+
+
+def test_store_window_keeps_losses_bit_exact(gpu, tmp_path, tiny_gpt_config):
+    """A throttled device fills the window on every step; what forward
+    waits for must not change what it computes."""
+    baseline = _fresh_model(gpu, tiny_gpt_config)
+    loss0, grads0, _ = _run_model_step(baseline, gpu)
+
+    cache = TensorCache(
+        SSDOffloader(tmp_path / "paced", throttle_bytes_per_s=2e6),
+        policy=OffloadPolicy(PolicyConfig(min_offload_numel=64)),
+        num_store_workers=1,
+        num_load_workers=1,
+    )
+    try:
+        model = _fresh_model(gpu, tiny_gpt_config)
+        cache.register_weights(model)
+        cache.attach(model)
+        loss1, grads1, _ = _run_model_step(model, gpu, cache)
+        assert cache.stats.store_waits > 0
+        assert loss1 == loss0
+        for name in grads0:
+            assert np.array_equal(grads0[name], grads1[name]), name
+    finally:
+        cache.shutdown()
+
+
+# ----------------------------------------------------------------- load books
+def test_concurrent_loads_book_every_load(gpu, make_cache):
+    """Regression: lane workers booked ``loaded_tensors`` without a lock,
+    so concurrent loads could lose an update."""
+    cache = make_cache(num_store_workers=1, num_load_workers=7, prefetch_window=96)
+    xs = _activations(gpu, 96, shape=(16, 16))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # preempt lane workers as often as possible
+    try:
+        with cache:
+            tids = [cache.pack_hook(x) for x in xs]
+            assert cache.scheduler.drain(10)
+            stores = cache.scheduler.stats_snapshot().executed
+            cache.on_backward_begin()  # prefetches the whole window at once
+            for tid, x in zip(reversed(tids), reversed(xs)):
+                assert np.array_equal(cache.unpack_hook(tid).data, x.data)
+        assert cache.scheduler.drain(10)
+    finally:
+        sys.setswitchinterval(interval)
+    books = cache.scheduler.stats_snapshot()
+    assert books.failed == 0 and books.cancelled == 0
+    executed_loads = books.executed - stores
+    assert executed_loads == len(xs)
+    assert cache.stats.loaded_tensors == executed_loads
+    assert cache.stats.loaded_bytes == sum(x.nbytes for x in xs)
