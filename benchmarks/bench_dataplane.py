@@ -82,6 +82,10 @@ def test_dataplane_cpu_store_pooled(benchmark):
         for tid in TIDS:
             offloader.store(tid, TENSOR)
 
+    # One untimed round stores every tid once, so each timed round
+    # overwrites: the steady state holds at any round count, including
+    # the single round of --benchmark-disable.
+    round_()
     benchmark(round_)
     stats = offloader.arena.stats()
     emit(

@@ -54,7 +54,9 @@ class PolicyConfig:
             offloads everything eligible.  Set by the adaptive sizing
             (Fig. 3 "Set: offload size").
         keep_last_module: keep activations packed inside the final
-            top-level module, whose backward begins immediately.
+            top-level module, whose backward begins immediately, and
+            the forward tail (the last ``prefetch_window`` forward
+            records, which backward would reload at once).
         cpu_tier_max_tensor_bytes: tiered runs only — tensors larger than
             this bypass the pinned-CPU pool and go straight to SSD (large
             sequential writes are exactly what the SSD is good at, while
@@ -140,7 +142,7 @@ class OffloadPolicy:
         """Alg. 1 lines 2-8 for one tensor.
 
         ``in_keep_scope`` is True when the current module is marked
-        keep-in-memory (last module, or scheduler hint).
+        keep-in-memory (last module or forward tail, or scheduler hint).
         """
         if is_weight or is_cpu or numel < self.config.min_offload_numel:
             return Decision.PASS_THROUGH

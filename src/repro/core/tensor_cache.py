@@ -115,6 +115,12 @@ class MicrobatchRecords:
     pack_position: Dict[TensorID, int] = field(default_factory=dict)
     tids_by_scope: Dict[int, List[TensorID]] = field(default_factory=dict)
     backward_cursor: int = 0
+    #: Records packed outside backward (recompute packs excluded): the
+    #: next step's forward-tail basis (see ``TensorCache._in_forward_tail``).
+    forward_records: int = 0
+    #: ``(backward_cursor, prefetch_window)`` of the last completed
+    #: look-ahead walk; walking the same window again finds nothing to do.
+    prefetched: Optional[Tuple[int, int]] = None
 
 
 @dataclass
@@ -279,6 +285,9 @@ class TensorCache:
         # (Fig. 2 marker 4).
         self._segment_order: List[int] = []
         self._last_segment_id: Optional[int] = None
+        # Measured at each step end: every micro-batch's forward record
+        # count, from which the next step's forward tail is cut.
+        self._forward_records: Dict[int, int] = {}
         self._shutdown = False
         # A tiered backend moves tensors between tiers behind the cache's
         # back (demotion on pool pressure, promotion on load); subscribe
@@ -411,6 +420,9 @@ class TensorCache:
             logger.debug("%d records not consumed by backward", leftover)
         if self._step_index == 0 and self._segment_order:
             self._last_segment_id = self._segment_order[-1]
+        self._forward_records = {
+            index: table.forward_records for index, table in tables if table.forward_records
+        }
         self._segment_order = []
         self._step_index += 1
         self._keep_all_hint = False
@@ -550,13 +562,19 @@ class TensorCache:
         """Alg. 1 ``pack_hook``: decide and return graph-resident object."""
         if not isinstance(t, Tensor):
             return t
+        table = self.current
+        in_backward = flags.in_backward()
         decision_inputs = dict(
             is_weight=self.registry.is_weight(t),
             is_cpu=t.is_cpu,
             numel=t.numel,
             nbytes=t.nbytes,
-            in_backward=flags.in_backward(),
-            in_keep_scope=self._in_keep_scope or self._keep_all_hint,
+            in_backward=in_backward,
+            in_keep_scope=(
+                self._in_keep_scope
+                or self._keep_all_hint
+                or (not in_backward and self._in_forward_tail(table))
+            ),
             accounting=self.accounting,
         )
         decision = self.policy.decide(**decision_inputs)
@@ -568,7 +586,6 @@ class TensorCache:
         if self._device is None:
             self._device = t.device
         tid = self.registry.get_id(t)
-        table = self.current
         self.accounting.pack_calls += 1
         # The scope of this save is the innermost module — the one whose
         # backward consumes the tensor.  (The root module's backward-exit
@@ -592,6 +609,8 @@ class TensorCache:
             table.records[tid] = rec
             table.pack_position[tid] = len(table.pack_order)
             table.pack_order.append(tid)
+            if not in_backward:
+                table.forward_records += 1
             self._extend_scopes(table, rec, scope_ids)
 
         if decision is Decision.KEEP:
@@ -643,6 +662,24 @@ class TensorCache:
         job.add_done_callback(self._release_store_slot)
         self._wait_for_store_slot(lane)
         return tid
+
+    def _in_forward_tail(self, table: MicrobatchRecords) -> bool:
+        """Whether the next forward record of ``table`` falls in the
+        forward tail: the last ``prefetch_window`` records of this
+        micro-batch's forward, which ``on_backward_begin`` would prefetch
+        the moment backward starts.
+
+        Offloading them only writes bytes that backward reads straight
+        back, so they are kept like the last module's (Fig. 2 marker 4).
+        The tail is cut from the previous step's forward record count;
+        the profiling step has none.
+        """
+        count = self._forward_records.get(self._current_mb)
+        return (
+            count is not None
+            and self.policy.config.keep_last_module
+            and table.forward_records >= count - self.prefetch_window
+        )
 
     def _wait_for_store_slot(self, lane: str) -> None:
         """The store window: after a submit, block forward while
@@ -936,8 +973,16 @@ class TensorCache:
             # via its blocking load instead.
             self.stats.prefetch_shed += 1
             return
-        cursor = table.backward_cursor
-        low = max(0, cursor - self.prefetch_window)
+        walk = (table.backward_cursor, self.prefetch_window)
+        if walk == table.prefetched:
+            # Every record in this window is already kept, loaded, loading
+            # or flagged for forwarding: a repeat walk has nothing to do.
+            return
+        self._walk_prefetch_window(table, *walk)
+        table.prefetched = walk
+
+    def _walk_prefetch_window(self, table: MicrobatchRecords, cursor: int, window: int) -> None:
+        low = max(0, cursor - window)
         for index in range(cursor - 1, low - 1, -1):
             tid = table.pack_order[index]
             rec = table.records.get(tid)

@@ -241,9 +241,12 @@ class StepSimulator:
         self.num_microbatches = num_microbatches
         self.prefetch_segments = prefetch_segments
         # Fig. 2 marker 4: the last module's backward begins immediately
-        # after its forward, so its activations are kept (the functional
-        # cache keeps the final top-level segment; pass 2 to also keep the
-        # final transformer layer as in the Fig. 2 sketch).
+        # after its forward, so its activations are kept.  The functional
+        # cache keeps the final top-level segment plus the forward tail:
+        # the last ``prefetch_window`` records, counted per record, not
+        # per segment.  Keeping whole segments only approximates that
+        # (2, the default, also keeps the final transformer layer as in
+        # the Fig. 2 sketch).
         self.keep_last_segments = keep_last_segments
         # Recomputation transient: the recomputed activations coexist with
         # the gradient buffers of the segment's backward.

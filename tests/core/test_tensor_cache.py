@@ -21,6 +21,8 @@ from repro.core import (
     SSDOffloader,
     TensorCache,
 )
+from repro.core.policy import KeepReason
+from repro.core.tensor_cache import RecordState
 from repro.device import MemoryTag
 from repro.models import GPT
 from repro.nn.linear import Linear
@@ -276,6 +278,191 @@ def test_keep_hint_stops_offloading(gpu, make_cache):
         cache.on_backward_end()
     assert cache.stats.stored_tensors == 0
     assert cache.stats.kept_tensors > 0
+
+
+# ---------------------------------------------------------------- forward tail
+def _step_table(model, gpu, cache, seed=42):
+    """Run one step and return the record table it used."""
+    table = cache.current
+    _run_model_step(model, gpu, cache, seed=seed)
+    return table
+
+
+def _forward_reasons(table):
+    return [table.records[tid].keep_reason for tid in table.pack_order[: table.forward_records]]
+
+
+def _cached_model(gpu, config, make_cache, **cache_kwargs):
+    model = _fresh_model(gpu, config)
+    cache = make_cache(**cache_kwargs)
+    cache.register_weights(model)
+    cache.attach(model)
+    return model, cache
+
+
+def test_forward_tail_is_kept_from_step_one(gpu, tiny_gpt_config, make_cache):
+    """From step 1 the last ``prefetch_window`` forward records, which
+    backward would reload at once, stay resident; the rest offload."""
+    model, cache = _cached_model(gpu, tiny_gpt_config, make_cache, prefetch_window=4)
+    _step_table(model, gpu, cache)  # profiling step
+    stored, kept = cache.stats.stored_tensors, cache.stats.kept_tensors
+    table = _step_table(model, gpu, cache)
+    reasons = _forward_reasons(table)
+    assert len(reasons) > 4
+    assert reasons[-4:] == [KeepReason.LAST_MODULE] * 4
+    assert reasons[:-4] == [None] * (len(reasons) - 4)
+    assert cache.stats.kept_tensors - kept == 4
+    assert cache.stats.stored_tensors - stored == len(reasons) - 4
+
+
+def test_profiling_step_keeps_no_tail(gpu, tiny_gpt_config, make_cache):
+    """Step 0 has no measured record count and no profiled last segment,
+    so it keeps nothing."""
+    model, cache = _cached_model(gpu, tiny_gpt_config, make_cache, prefetch_window=4)
+    table = _step_table(model, gpu, cache)
+    assert set(_forward_reasons(table)) == {None}
+    assert cache.stats.kept_tensors == 0
+    assert cache._forward_records == {0: table.forward_records}
+
+
+def test_forward_tail_follows_keep_last_module(gpu, tiny_gpt_config, make_cache):
+    model, cache = _cached_model(
+        gpu, tiny_gpt_config, make_cache, policy_kwargs={"keep_last_module": False}
+    )
+    for _ in range(2):
+        table = _step_table(model, gpu, cache)
+    assert set(_forward_reasons(table)) == {None}
+    assert cache.stats.kept_tensors == 0
+
+
+def test_zero_prefetch_window_has_no_tail(gpu, tiny_gpt_config, make_cache):
+    """Only the last-segment rule keeps anything: the loss head's input,
+    not the logits CrossEntropy saves after the head exits."""
+    model, cache = _cached_model(gpu, tiny_gpt_config, make_cache, prefetch_window=0)
+    _step_table(model, gpu, cache)
+    table = _step_table(model, gpu, cache)
+    reasons = _forward_reasons(table)
+    assert reasons[-2] is KeepReason.LAST_MODULE
+    assert set(reasons[:-2] + reasons[-1:]) == {None}
+    assert cache.stats.kept_tensors == 1
+
+
+def test_window_wider_than_forward_keeps_every_record(gpu, tiny_gpt_config, make_cache):
+    model, cache = _cached_model(gpu, tiny_gpt_config, make_cache, prefetch_window=1000)
+    _step_table(model, gpu, cache)
+    stored = cache.stats.stored_tensors
+    table = _step_table(model, gpu, cache)
+    assert set(_forward_reasons(table)) == {KeepReason.LAST_MODULE}
+    assert cache.stats.stored_tensors == stored
+
+
+def test_recompute_packs_do_not_shift_the_tail(gpu, tiny_gpt_config, make_cache):
+    """Checkpointed layers re-pack their activations inside backward;
+    those records are not forward records and must not move the tail."""
+    config = tiny_gpt_config.scaled(recompute=True)
+    model, cache = _cached_model(gpu, config, make_cache, prefetch_window=3)
+    first = _step_table(model, gpu, cache)
+    table = _step_table(model, gpu, cache)
+    assert table.forward_records == first.forward_records
+    recomputed = table.pack_order[table.forward_records :]
+    assert recomputed  # backward did re-pack
+    assert {table.records[tid].keep_reason for tid in recomputed} == {KeepReason.IN_BACKWARD}
+    reasons = _forward_reasons(table)
+    assert reasons[-3:] == [KeepReason.LAST_MODULE] * 3
+    assert set(reasons[:-3]) == {None}
+
+
+@pytest.mark.parametrize("target", ["ssd", "cpu", "tiered"])
+def test_forward_tail_keeps_losses_bit_exact(gpu, tmp_path, tiny_gpt_config, target):
+    from repro.core import EngineConfig, build_engine
+
+    baseline = _fresh_model(gpu, tiny_gpt_config)
+    expected = [_run_model_step(baseline, gpu, seed=s)[:2] for s in range(3)]
+
+    engine = build_engine(
+        EngineConfig(
+            target=target,
+            store_dir=tmp_path,
+            cpu_pool_bytes=1 << 14 if target == "tiered" else None,
+            policy=OffloadPolicy(PolicyConfig(min_offload_numel=64)),
+            prefetch_window=4,
+        )
+    )
+    try:
+        cache = engine.cache()
+        model = _fresh_model(gpu, tiny_gpt_config)
+        cache.register_weights(model)
+        cache.attach(model)
+        for seed, (loss0, grads0) in enumerate(expected):
+            loss1, grads1, _ = _run_model_step(model, gpu, cache, seed=seed)
+            assert loss1 == loss0
+            for name in grads0:
+                assert np.array_equal(grads0[name], grads1[name]), name
+        assert cache.stats.stored_tensors > 0
+        assert cache.stats.kept_tensors == 2 * 4
+    finally:
+        engine.shutdown()
+
+
+# ----------------------------------------------------------- prefetch walk
+def _spy_walks(cache):
+    walks = []
+    walk = cache._walk_prefetch_window
+
+    def spy(table, cursor, window):
+        walks.append((cursor, window))
+        walk(table, cursor, window)
+
+    cache._walk_prefetch_window = spy
+    return walks
+
+
+def test_prefetch_walks_each_cursor_position_once(gpu, tiny_gpt_config, make_cache):
+    model, cache = _cached_model(gpu, tiny_gpt_config, make_cache, prefetch_window=4)
+    calls = []
+    prefetch = cache._prefetch_ahead
+    cache._prefetch_ahead = lambda table: (calls.append(1), prefetch(table))
+    walks = _spy_walks(cache)
+    _run_model_step(model, gpu, cache)
+    assert walks and len(walks) == len(set(walks))
+    assert len(calls) > len(walks)  # backward re-enters unchanged windows
+
+
+def _packed_table(gpu, cache, n=6):
+    with cache:
+        for x in _activations(gpu, n, shape=(16, 16)):
+            cache.pack_hook(x)
+    assert cache.scheduler.drain(10)
+    return cache.current
+
+
+def test_prefetch_rewalks_after_a_window_change(gpu, make_cache):
+    from types import SimpleNamespace
+
+    cache = make_cache(prefetch_window=2)
+    table = _packed_table(gpu, cache)
+    walks = _spy_walks(cache)
+    cache.on_backward_begin()
+    cache._prefetch_ahead(table)
+    assert walks == [(6, 2)]
+    cache.apply_autotune(SimpleNamespace(prefetch_window=4))
+    cache._prefetch_ahead(table)
+    assert walks == [(6, 2), (6, 4)]
+    states = [table.records[tid].state for tid in table.pack_order]
+    assert states[:2] == [RecordState.OFFLOADED] * 2  # outside the wider window
+
+
+def test_prefetch_rewalks_after_a_brownout_clears(gpu, make_cache):
+    cache = make_cache(prefetch_window=2)
+    table = _packed_table(gpu, cache)
+    walks = _spy_walks(cache)
+    cache.scheduler.health.mark_slow("ssd")
+    cache.on_backward_begin()
+    assert walks == [] and cache.stats.prefetch_shed == 1
+    cache.scheduler.health.revive("ssd")
+    cache._prefetch_ahead(table)
+    assert walks == [(6, 2)]
+    assert cache.stats.prefetch_issued == 2
 
 
 # --------------------------------------------------------------------- cleanup
